@@ -53,19 +53,13 @@ cluster-smoke:
 persist:
 	$(GO) test -race -run 'Recover|Retention|Retain|Journal|RetryAfter|Leak|CacheDisk' ./internal/service ./internal/synth
 
-# Kernel/evaluator benchmark lane: the la factor/solve kernels (dense,
-# sparse, and ordered), the compiled transfer-function evaluator, the
-# sim analyses, the batched hybrid evaluator, and the end-to-end MDAC
-# operating-point/settling/AC/full-study benchmarks, recorded as go-test
-# JSON events in BENCH_kernels.json for before/after comparison. The
-# benchfilter pipe strips run-volatile fields (timestamps, elapsed
-# seconds, iteration counts) so the committed snapshot diffs cleanly.
+# Kernel/evaluator benchmark lane: the benchmark set listed in
+# scripts/bench.sh, recorded as go-test JSON events in BENCH_kernels.json
+# for before/after comparison. The benchfilter pipe strips run-volatile
+# fields (timestamps, elapsed seconds, iteration counts) so the committed
+# snapshot diffs cleanly.
 bench:
-	$(GO) test -json -bench=. -benchmem -run='^$$' \
-		./internal/la ./internal/expr ./internal/sim ./internal/hybrid \
-		| ./scripts/benchfilter.sh > BENCH_kernels.json
-	$(GO) test -json -bench='^Benchmark(OP|TranSettle|TranSettleFullNewton|ACSweep|Study13b|Study13bRacing)$$' -benchmem -run='^$$' . \
-		| ./scripts/benchfilter.sh >> BENCH_kernels.json
+	GO=$(GO) ./scripts/bench.sh -json -benchmem | ./scripts/benchfilter.sh > BENCH_kernels.json
 	@grep -F 'ns/op' BENCH_kernels.json \
 		| sed -E 's/.*"Test":"([^"]*)".*"Output":"(\1)? *([^"]*)\\n"\}/\1\t\3/; s/\\t/   /g'
 

@@ -144,7 +144,7 @@ func BenchmarkFig3Rules(b *testing.B) {
 
 // BenchmarkOptimizeSerialVsParallel measures the parallel study engine
 // against the serial baseline on the same 10-bit hybrid-mode study: the
-// DAG scheduler fans the independent MDAC design points (and restarts)
+// worker pool fans the independent MDAC design points (and restarts)
 // across cores, and the studies are bit-identical, so the time ratio of
 // the two sub-benchmarks is the pure scheduling speedup (≈ min(cores,
 // points) on a multicore host; ≈ 1 on a single core). The third

@@ -57,8 +57,7 @@ go test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|O
 # (including the batched-evaluator and full-study paths) so perf-path
 # regressions (panics, singular matrices) surface in CI without paying
 # for a full measurement run.
-go test -bench=. -benchtime=1x -run='^$' ./internal/la ./internal/expr ./internal/sim ./internal/hybrid
-go test -bench='^Benchmark(OP|TranSettle|TranSettleFullNewton|ACSweep|Study13b|Study13bRacing)$' -benchtime=1x -run='^$' .
+./scripts/bench.sh -benchtime=1x
 # Advisory perf diff against the committed BENCH_kernels.json snapshot:
 # prints >10% ns/op regressions but never fails the gate (shared CI
 # boxes are noisy; BENCHDIFF_STRICT=1 makes it fatal locally).

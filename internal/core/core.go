@@ -84,8 +84,8 @@ type Options struct {
 	// their restarts, and (in a Sweep) the per-resolution studies all
 	// draw from the same budget. 0 = GOMAXPROCS, 1 = fully serial. Every
 	// worker count produces bit-identical studies: per-key seeds are
-	// fixed by sorted key order, warm-start sources are scheduled as DAG
-	// dependencies, and all reductions happen in key order.
+	// fixed by sorted key order, warm-start sources finish in an earlier
+	// dependency wave, and all reductions happen in key order.
 	Workers int
 	// Pool supplies an existing shared worker budget instead of Workers
 	// (Sweep threads its pool through every study).
@@ -94,8 +94,11 @@ type Options struct {
 	// (how many design points), each design point starting and
 	// finishing, and the S/H synthesis. Design points run on worker
 	// goroutines, so the callback must be safe for concurrent use and
-	// must not block. Evaluation-granule progress rides the separate
-	// synth.Options.Progress seam; neither influences the study result.
+	// must not block. With one worker, design points report in sorted
+	// key order: rung by rung under Race, and wave by wave under
+	// Retarget (a point after every potential warm source). Evaluation-granule
+	// progress rides the separate synth.Options.Progress seam; neither
+	// influences the study result.
 	Progress func(ev ProgressEvent)
 }
 
@@ -352,9 +355,8 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 		}
 	}
 
-	// Synthesize each design point once, optionally chaining warm starts:
-	// first the same resolution one stage earlier, then the previous
-	// resolution at the same stage.
+	// The sorted design-point order fixes each point's seed and the order
+	// every reduction walks, for any worker count.
 	keys := make([]DesignPoint, 0, len(specOf))
 	for k := range specOf {
 		keys = append(keys, k)
@@ -377,108 +379,37 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 	if pool == nil {
 		pool = sched.NewPool(opts.Workers)
 	}
-
-	// Warm-start candidates for key i, in deterministic preference order:
-	// first the same resolution one stage earlier, then the previous
-	// resolution at the same stage — considering only keys that precede i
-	// in sorted order, exactly the results the serial flow would have in
-	// hand. Under Retarget these become the DAG edges: a design point
-	// dispatches once its potential warm sources are done, so the
-	// parallel schedule picks the same seed the serial one does.
-	warmIdx := make([][]int, len(keys))
-	if opts.Retarget && !opts.Race {
-		for i, key := range keys {
-			for j := 0; j < i; j++ {
-				if prev := keys[j]; prev.Stage == key.Stage-1 && prev.Bits == key.Bits {
-					warmIdx[i] = append(warmIdx[i], j)
-				}
-			}
-			for j := 0; j < i; j++ {
-				if prev := keys[j]; prev.Stage == key.Stage && prev.Bits == key.Bits-1 {
-					warmIdx[i] = append(warmIdx[i], j)
-				}
-			}
+	// pointsOf[ci][s] is the sorted-key index of candidate ci's stage s.
+	keyIdx := make(map[DesignPoint]int, len(keys))
+	for i, key := range keys {
+		keyIdx[key] = i
+	}
+	pointsOf := make([][]int, len(cands))
+	for ci, specs := range specsByCand {
+		for _, sp := range specs {
+			pointsOf[ci] = append(pointsOf[ci], keyIdx[DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}])
 		}
 	}
 
-	opts.emit(ProgressEvent{Kind: "plan", Points: len(keys), Candidates: len(cands)})
-	var results map[DesignPoint]*synth.Result
-	var prunedCand map[int]bool
-	if opts.Race {
-		var err error
-		results, prunedCand, err = runRace(ctx, &opts, study, keys, specOf, specsByCand, cands, pool)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		resArr := make([]*synth.Result, len(keys))
-		warmFrom := make([]*DesignPoint, len(keys))
-		nodes := make([]sched.Node, len(keys))
-		for i := range keys {
-			i := i
-			key := keys[i]
-			deps := warmIdx[i]
-			nodes[i] = sched.Node{
-				Deps:  deps,
-				Label: fmt.Sprintf("design point stage %d (%d-bit)", key.Stage, key.Bits),
-				Run: func(ctx context.Context) error {
-					sOpts := opts.Synth
-					sOpts.Mode = opts.Mode
-					sOpts.Seed = opts.Synth.Seed + int64(i+1)
-					sOpts.Pool = pool
-					if opts.Retarget {
-						for _, j := range deps {
-							if prev := resArr[j]; prev != nil && prev.Feasible {
-								sOpts.WarmStart = prev.Sizing
-								k := keys[j]
-								warmFrom[i] = &k
-								break
-							}
-						}
-					}
-					opts.emit(ProgressEvent{Kind: "point_start", Point: i, Points: len(keys),
-						Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits})
-					res, err := synth.Synthesize(ctx, specOf[key], opts.Process, sOpts)
-					if err != nil {
-						return fmt.Errorf("core: synthesis of stage %d (%d-bit): %w", key.Stage, key.Bits, err)
-					}
-					resArr[i] = res
-					opts.emit(ProgressEvent{Kind: "point_done", Point: i, Points: len(keys),
-						Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits,
-						CacheHit: res.CacheHit, Feasible: res.Feasible,
-						Power: res.Metrics.Power, Evals: res.Evals})
-					return nil
-				}}
-		}
-		if err := sched.Run(ctx, pool, nodes); err != nil {
-			return nil, err
-		}
-		results = map[DesignPoint]*synth.Result{}
-		for i, key := range keys {
-			res := resArr[i]
-			results[key] = res
-			accountResult(study, res, opts.Synth.Cache != nil)
-			study.MDACs = append(study.MDACs, MDACRecord{Key: key, Result: res, WarmFrom: warmFrom[i]})
-		}
-	}
-
-	// Cost every candidate from the shared design-point results. The
+	// cost prices candidate ci from the latest design-point results. The
 	// comparator bank depends only on the design point, so it is designed
-	// once per key and shared across the candidates that contain it.
-	banks := make(map[DesignPoint]subadc.Bank, len(keys))
-	for i, cfg := range cands {
-		cr := CandidateResult{Config: cfg, AllFeasible: true, Pruned: prunedCand[i]}
-		for _, sp := range specsByCand[i] {
-			key := DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}
-			res := results[key]
-			bank, ok := banks[key]
+	// once per key and shared across the candidates (and racing rungs)
+	// that contain it.
+	banks := make(map[int]subadc.Bank, len(keys))
+	cost := func(ci int, latest []*synth.Result) (CandidateResult, error) {
+		cr := CandidateResult{Config: cands[ci], AllFeasible: true,
+			Stages: make([]StageResult, 0, len(specsByCand[ci]))}
+		for s, sp := range specsByCand[ci] {
+			k := pointsOf[ci][s]
+			res := latest[k]
+			bank, ok := banks[k]
 			if !ok {
 				var err error
 				bank, err = subadc.Design(sp, opts.Process, opts.SampleRate)
 				if err != nil {
-					return nil, fmt.Errorf("core: %s stage %d sub-ADC: %w", cfg, sp.Stage, err)
+					return cr, fmt.Errorf("core: %s stage %d sub-ADC: %w", cands[ci], sp.Stage, err)
 				}
-				banks[key] = bank
+				banks[k] = bank
 			}
 			sr := StageResult{
 				Stage: sp.Stage, Bits: sp.Bits,
@@ -493,6 +424,20 @@ func Optimize(ctx context.Context, opts Options) (*Study, error) {
 			cr.TotalPower += sr.Total
 			cr.AllFeasible = cr.AllFeasible && sr.Feasible
 		}
+		return cr, nil
+	}
+
+	opts.emit(ProgressEvent{Kind: "plan", Points: len(keys), Candidates: len(cands)})
+	latest, pruned, err := runRungs(ctx, &opts, study, keys, specOf, pointsOf, pool, cost)
+	if err != nil {
+		return nil, err
+	}
+	for ci := range cands {
+		cr, err := cost(ci, latest)
+		if err != nil {
+			return nil, err
+		}
+		cr.Pruned = pruned[ci]
 		study.Candidates = append(study.Candidates, cr)
 	}
 	sort.Slice(study.Candidates, func(i, j int) bool {
@@ -547,159 +492,197 @@ func accountResult(st *Study, res *synth.Result, cacheOn bool) {
 	}
 }
 
-// runRace executes the successive-halving schedule: every rung
-// synthesizes the design points the still-active candidates need at
-// that rung's reduced budget, ranks the candidates by
-// feasibility-then-cost, and promotes the top half into the next rung;
-// the final rung runs at full fidelity, each survivor's points
-// warm-started from their own lower-fidelity best sizing (racing's
-// WarmFrom is the point itself, so MDAC records carry nil).
+// runRungs is the study's one topology-level loop: it synthesizes the
+// design points rung by rung and returns the latest result per sorted
+// key plus the candidate indices pruned before full fidelity.
 //
-// Determinism matches the uniform path's contract: per-point seeds are
-// fixed by the global sorted-key index (identical across rungs, so a
-// rung is a budget change, not a reseed), every reduction and promotion
-// happens in index order, and the returned maps are bit-identical for
-// any worker count. It returns the latest result per design point and
-// the set of candidate indices that were pruned before full fidelity.
-func runRace(ctx context.Context, opts *Options, study *Study, keys []DesignPoint,
-	specOf map[DesignPoint]stagespec.MDACSpec, specsByCand [][]stagespec.MDACSpec,
-	cands []enum.Config, pool *sched.Pool) (map[DesignPoint]*synth.Result, map[int]bool, error) {
+// The uniform flow is the one-rung plan: every design point once, at
+// the caller's budget. Under Race the plan is successive halving
+// (DESIGN.md §5.9): every rung synthesizes the points the still-active
+// candidates need at that rung's reduced budget, ranks the candidates
+// by feasibility-then-cost, and promotes the top half; the final rung
+// runs at full fidelity, each survivor's points warm-started from their
+// own lower-fidelity best sizing (racing's warm source is the point
+// itself, so MDAC records carry a nil WarmFrom).
+//
+// Under Retarget (without Race) a point prefers to seed from a
+// completed neighbour — first the same resolution one stage earlier,
+// then the previous resolution at the same stage — considering only
+// keys that precede it in sorted order. The points therefore run in
+// dependency waves: a point joins the wave after its latest potential
+// warm source, so every wave reads only results earlier waves finished,
+// and each wave is one pool.ForEach.
+//
+// Every worker count produces the same study: per-point seeds are fixed
+// by the global sorted-key index (identical across rungs, so a rung is a
+// budget change, not a reseed), and every reduction and promotion
+// happens in index order.
+func runRungs(ctx context.Context, opts *Options, study *Study, keys []DesignPoint,
+	specOf map[DesignPoint]stagespec.MDACSpec, pointsOf [][]int, pool *sched.Pool,
+	cost func(ci int, latest []*synth.Result) (CandidateResult, error)) ([]*synth.Result, map[int]bool, error) {
 
+	plan := []race.Rung{{Divisor: 1}}
+	if opts.Race {
+		plan = race.Plan(len(pointsOf), opts.RaceRungs, opts.RaceEta)
+		study.Race = &RaceStats{Rungs: len(plan)}
+	}
+	warmIdx := make([][]int, len(keys))
+	if opts.Retarget && !opts.Race {
+		for i, key := range keys {
+			for j := 0; j < i; j++ {
+				if prev := keys[j]; prev.Stage == key.Stage-1 && prev.Bits == key.Bits {
+					warmIdx[i] = append(warmIdx[i], j)
+				}
+			}
+			for j := 0; j < i; j++ {
+				if prev := keys[j]; prev.Stage == key.Stage && prev.Bits == key.Bits-1 {
+					warmIdx[i] = append(warmIdx[i], j)
+				}
+			}
+		}
+	}
 	// Canonical() applies the synthesis defaults without the warm-start
 	// shrink, giving the full-fidelity budget the rung divisors scale.
 	canon := opts.Synth.Canonical()
-	plan := race.Plan(len(cands), opts.RaceRungs, opts.RaceEta)
-	study.Race = &RaceStats{Rungs: len(plan)}
-	pointOf := func(sp stagespec.MDACSpec) DesignPoint {
-		return DesignPoint{Stage: sp.Stage, Bits: sp.Bits, PriorBits: sp.PriorBits}
-	}
-
-	active := make([]int, len(cands))
+	latest := make([]*synth.Result, len(keys))
+	warmFrom := make([]*DesignPoint, len(keys))
+	active := make([]int, len(pointsOf))
 	for i := range active {
 		active[i] = i
 	}
-	results := make(map[DesignPoint]*synth.Result, len(keys))
-	banks := make(map[DesignPoint]subadc.Bank, len(keys))
 	pruned := make(map[int]bool)
-	cacheOn := opts.Synth.Cache != nil
 
 	for r, rung := range plan {
-		entrants := len(active)
-		// The design points the surviving candidates still need, in the
-		// global sorted-key order every worker count walks identically.
-		needSet := make(map[DesignPoint]bool)
+		rungNo := 0 // the uniform flow's events carry no rung
+		if opts.Race {
+			rungNo = r + 1
+		}
+		// The design points the surviving candidates still need, grouped
+		// into dependency waves in the global sorted-key order.
+		need := make([]bool, len(keys))
 		for _, ci := range active {
-			for _, sp := range specsByCand[ci] {
-				needSet[pointOf(sp)] = true
+			for _, k := range pointsOf[ci] {
+				need[k] = true
 			}
 		}
-		needed := make([]int, 0, len(needSet))
-		for i, key := range keys {
-			if needSet[key] {
-				needed = append(needed, i)
+		level := make([]int, len(keys))
+		var waves [][]int
+		for i := range keys {
+			if !need[i] {
+				continue
 			}
+			for _, j := range warmIdx[i] {
+				level[i] = max(level[i], level[j]+1)
+			}
+			if level[i] == len(waves) {
+				waves = append(waves, nil)
+			}
+			waves[level[i]] = append(waves[level[i]], i)
 		}
 
-		resArr := make([]*synth.Result, len(needed))
-		errArr := make([]error, len(needed))
-		if err := pool.ForEach(ctx, len(needed), func(j int) {
-			i := needed[j]
-			key := keys[i]
-			sOpts := opts.Synth
-			sOpts.Mode = opts.Mode
-			sOpts.Seed = opts.Synth.Seed + int64(i+1)
-			sOpts.Pool = pool
-			sOpts.MaxEvals = canon.MaxEvals / rung.Divisor
-			if sOpts.MaxEvals < 1 {
-				sOpts.MaxEvals = 1
-			}
-			sOpts.PatternIter = canon.PatternIter / rung.Divisor
-			if sOpts.PatternIter < 1 {
-				sOpts.PatternIter = 1
-			}
-			if r > 0 {
-				// Promotion fidelity: continue from this point's own best
-				// sizing one rung down. Every needed key ran in the prior
-				// rung (the active set only shrinks), so the lookup is a
-				// completed result, never a data race.
-				if prev := results[key]; prev != nil && prev.Feasible {
-					sOpts.WarmStart = prev.Sizing
+		for _, wave := range waves {
+			errs := make([]error, len(wave))
+			err := pool.ForEach(ctx, len(wave), func(w int) {
+				i := wave[w]
+				key := keys[i]
+				sOpts := opts.Synth
+				sOpts.Mode = opts.Mode
+				sOpts.Seed = opts.Synth.Seed + int64(i+1)
+				sOpts.Pool = pool
+				if opts.Race {
+					sOpts.MaxEvals = max(canon.MaxEvals/rung.Divisor, 1)
+					sOpts.PatternIter = max(canon.PatternIter/rung.Divisor, 1)
 				}
+				// Promotion fidelity continues from this point's own best
+				// sizing one rung down; retargeting from its neighbours.
+				// Either source completed before this wave started.
+				sources := warmIdx[i]
+				if r > 0 {
+					sources = []int{i}
+				}
+				for _, j := range sources {
+					if prev := latest[j]; prev != nil && prev.Feasible {
+						sOpts.WarmStart = prev.Sizing
+						if j != i {
+							warmFrom[i] = &keys[j]
+						}
+						break
+					}
+				}
+				opts.emit(ProgressEvent{Kind: "point_start", Point: i, Points: len(keys),
+					Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: rungNo})
+				res, err := synth.Synthesize(ctx, specOf[key], opts.Process, sOpts)
+				if err != nil {
+					what := "synthesis"
+					if opts.Race {
+						what = fmt.Sprintf("rung %d synthesis", rungNo)
+					}
+					errs[w] = fmt.Errorf("core: %s of stage %d (%d-bit): %w", what, key.Stage, key.Bits, err)
+					return
+				}
+				latest[i] = res
+				opts.emit(ProgressEvent{Kind: "point_done", Point: i, Points: len(keys),
+					Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: rungNo,
+					CacheHit: res.CacheHit, Feasible: res.Feasible,
+					Power: res.Metrics.Power, Evals: res.Evals})
+			})
+			if pe, ok := err.(*sched.PanicError); ok {
+				key := keys[wave[pe.Index]]
+				pe.Label = fmt.Sprintf("design point stage %d (%d-bit)", key.Stage, key.Bits)
 			}
-			opts.emit(ProgressEvent{Kind: "point_start", Point: i, Points: len(keys),
-				Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: r + 1})
-			res, err := synth.Synthesize(ctx, specOf[key], opts.Process, sOpts)
-			if err != nil {
-				errArr[j] = fmt.Errorf("core: rung %d synthesis of stage %d (%d-bit): %w",
-					r+1, key.Stage, key.Bits, err)
-				return
-			}
-			resArr[j] = res
-			opts.emit(ProgressEvent{Kind: "point_done", Point: i, Points: len(keys),
-				Stage: key.Stage, Bits: key.Bits, PriorBits: key.PriorBits, Rung: r + 1,
-				CacheHit: res.CacheHit, Feasible: res.Feasible,
-				Power: res.Metrics.Power, Evals: res.Evals})
-		}); err != nil {
-			return nil, nil, err
-		}
-		for _, err := range errArr {
 			if err != nil {
 				return nil, nil, err
 			}
+			for _, err := range errs {
+				if err != nil {
+					return nil, nil, err
+				}
+			}
 		}
-		for j, i := range needed {
-			results[keys[i]] = resArr[j]
-			accountResult(study, resArr[j], cacheOn)
+		for i := range keys {
+			if need[i] {
+				accountResult(study, latest[i], opts.Synth.Cache != nil)
+			}
 		}
 
-		promotedN := 0
+		entrants, promoted := len(active), 0
 		if rung.Keep > 0 {
 			standings := make([]race.Standing, len(active))
 			for si, ci := range active {
-				st := race.Standing{Index: ci, Feasible: true}
-				for _, sp := range specsByCand[ci] {
-					key := pointOf(sp)
-					res := results[key]
-					bank, ok := banks[key]
-					if !ok {
-						var err error
-						bank, err = subadc.Design(sp, opts.Process, opts.SampleRate)
-						if err != nil {
-							return nil, nil, fmt.Errorf("core: %s stage %d sub-ADC: %w", cands[ci], sp.Stage, err)
-						}
-						banks[key] = bank
-					}
-					st.Cost += res.Metrics.Power + bank.TotalPower
-					st.Feasible = st.Feasible && res.Feasible
+				cr, err := cost(ci, latest)
+				if err != nil {
+					return nil, nil, err
 				}
-				standings[si] = st
+				standings[si] = race.Standing{Index: ci, Feasible: cr.AllFeasible, Cost: cr.TotalPower}
 			}
 			next := race.Promote(standings, rung.Keep)
-			nextSet := make(map[int]bool, len(next))
+			kept := make(map[int]bool, len(next))
 			for _, ci := range next {
-				nextSet[ci] = true
+				kept[ci] = true
 			}
 			for _, ci := range active {
-				if !nextSet[ci] {
+				if !kept[ci] {
 					pruned[ci] = true
 				}
 			}
-			promotedN = len(next)
-			study.Race.Promotions += len(next)
-			study.Race.Pruned += len(active) - len(next)
+			promoted = len(next)
+			study.Race.Promotions += promoted
+			study.Race.Pruned += entrants - promoted
 			active = next
 		}
-		opts.emit(ProgressEvent{Kind: "race_rung", Rung: r + 1,
-			Candidates: entrants, Promoted: promotedN, Pruned: study.Race.Pruned})
+		if opts.Race {
+			opts.emit(ProgressEvent{Kind: "race_rung", Rung: rungNo,
+				Candidates: entrants, Promoted: promoted, Pruned: study.Race.Pruned})
+		}
 	}
 
-	// Every key was synthesized at rung 0 (all candidates start active),
-	// so the record set is complete; pruned candidates' points stay at
-	// the last fidelity they were costed at.
-	for _, key := range keys {
-		study.MDACs = append(study.MDACs, MDACRecord{Key: key, Result: results[key]})
+	// Every key ran at the first rung (all candidates start active), so
+	// the record set is complete; pruned candidates' points stay at the
+	// last fidelity they were costed at.
+	for i, key := range keys {
+		study.MDACs = append(study.MDACs, MDACRecord{Key: key, Result: latest[i], WarmFrom: warmFrom[i]})
 	}
-	return results, pruned, nil
+	return latest, pruned, nil
 }
 
 // Sweep runs studies across target resolutions (the paper's 10–13 bit

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"pipesyn/internal/enum"
+	"pipesyn/internal/hybrid"
+	"pipesyn/internal/stagespec"
+	"pipesyn/internal/synth"
+)
+
+// Golden pins: content addresses and search trajectories recorded before
+// the serial/batch and uniform/racing code paths were merged. A refactor
+// of the search machinery must leave every one of them unchanged; a
+// deliberate change to an answer or an address updates the pin in the
+// same commit and says why.
+
+// goldenKnobs are the search knobs the pins cover, applied to a base
+// request.
+var goldenKnobs = []struct {
+	name string
+	set  func(*Options)
+}{
+	{"default", func(*Options) {}},
+	{"batch4", func(o *Options) { o.Synth.BatchEval = 4 }},
+	{"newtonreuse", func(o *Options) { o.Synth.NewtonReuse = true }},
+	{"surrogate", func(o *Options) { o.Synth.Surrogate = true }},
+	{"surrogate_batch4", func(o *Options) { o.Synth.Surrogate = true; o.Synth.BatchEval = 4 }},
+	{"retarget", func(o *Options) { o.Retarget = true }},
+	{"race", func(o *Options) { o.Race = true }},
+	{"race3", func(o *Options) { o.Race = true; o.RaceRungs = 3 }},
+	{"fastpath", func(o *Options) { o.Synth.BatchEval = 4; o.Synth.NewtonReuse = true; o.Race = true }},
+}
+
+// TestGoldenContentAddresses pins the hex study key and the synthesis
+// cache key of the 13-bit default request's first 4-3-2 stage under
+// every knob: journaled jobs and on-disk caches written by earlier
+// builds must stay reachable.
+func TestGoldenContentAddresses(t *testing.T) {
+	want := map[string][2]string{
+		"default": {
+			"2ca7cf65d8a854ef19d27aa4e7741178f001b1cc833f33d0761800e927043de3",
+			"9ab7e8053c3b0f8f7a457719d1f6d068b8f683f51cd4de6e5f71210e751cafaf",
+		},
+		"batch4": {
+			"c842be19b99c7287b3a145548bab145b917711debb4a6efe734bbbf35b6b72a6",
+			"7e52f517795696499e49a4393e9248310590574b768f25bce73edbb9f0c69cf5",
+		},
+		"newtonreuse": {
+			"ce5aae20dbb5161d994a597305f7e903d5a7656a3e509181d529c79e12eb7b68",
+			"23ac31250779b045c6b779e54c4f0a0451d5954ca3889bc8cb291242c6a81233",
+		},
+		"surrogate": {
+			"a3c88c9099f8b2096852d02c0759760307c3a0e8be2d1a2235f4c3faa9bf33d7",
+			"4fe4f36c2dbaa708becab38fb531b3d0048cb3ce361e4be9ca49b1fd022c9b8b",
+		},
+		"surrogate_batch4": {
+			"e24c8099d474320af8a9401d7beae98381fe8f000563a3e50dfc238224598d68",
+			"e56ea76a15bad8c7fa233efeffc2074b00fdd4b4d35af79087cfecc149ce4f8a",
+		},
+		"retarget": {
+			"7d05ac171109a218220086de403ca5d1587cbed56ccfc8394485944eb35f5942",
+			"9ab7e8053c3b0f8f7a457719d1f6d068b8f683f51cd4de6e5f71210e751cafaf",
+		},
+		"race": {
+			"0b061c48a24a47b634ea20f92dd3a504559a83e0d6eb4031696ab933e7c76664",
+			"9ab7e8053c3b0f8f7a457719d1f6d068b8f683f51cd4de6e5f71210e751cafaf",
+		},
+		"race3": {
+			"4371c4987cf0507a6ef51f2b1936de0115940d52e79bd10bfc5371bca6b2af8c",
+			"9ab7e8053c3b0f8f7a457719d1f6d068b8f683f51cd4de6e5f71210e751cafaf",
+		},
+		"fastpath": {
+			"ce46c757284709fe131282831512cb6fcb683e1f005ea0a313e8cf5b1c85e3db",
+			"3aa46c0825c46b5e33919666623af49c0c03888b981956b54453b7081d6961a2",
+		},
+	}
+	for _, k := range goldenKnobs {
+		o := Options{Bits: 13, Synth: synth.Options{Seed: 1}}
+		k.set(&o)
+		o.fillDefaults()
+		specs, err := stagespec.Translate(stagespec.ADCSpec{Bits: 13, SampleRate: o.SampleRate,
+			VRef: o.VRef, Process: o.Process}, enum.Config{4, 3, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		so := o.Synth
+		so.Mode = o.Mode
+		got := [2]string{StudyKey(o), synth.CacheKey(specs[0], o.Process, so)}
+		if got != want[k.name] {
+			t.Errorf("%s: keys\n  study %s\n  cache %s\nwant\n  study %s\n  cache %s",
+				k.name, got[0], got[1], want[k.name][0], want[k.name][1])
+		}
+	}
+}
+
+// TestGoldenTrajectories pins the winner, evaluator spend, and exact
+// winner power of a small 12-bit hybrid study under each search knob.
+func TestGoldenTrajectories(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hybrid studies")
+	}
+	type pin struct {
+		config string
+		evals  int
+		power  uint64 // math.Float64bits(Best.TotalPower)
+	}
+	want := map[string]pin{
+		"default":          {"3-3-2-2", 481, 0x3f697d77c56e5b0f},
+		"surrogate":        {"4-4", 485, 0x3f5972885fa2b0d6},
+		"surrogate_batch4": {"4-3-2", 480, 0x3f6081369c657cc4},
+		"retarget":         {"3-3-2-2", 328, 0x3f741599c3e03ab0},
+		"race":             {"4-4", 367, 0x3f58f89d595298f8},
+		"fastpath":         {"4-3-2", 356, 0x3f608136afbe2540},
+	}
+	for _, k := range goldenKnobs {
+		w, ok := want[k.name]
+		if !ok {
+			continue
+		}
+		o := Options{Bits: 12, SampleRate: 40e6, Mode: hybrid.Hybrid, Workers: 2,
+			Synth: synth.Options{Seed: 5, MaxEvals: 16, PatternIter: 8}}
+		k.set(&o)
+		st, err := Optimize(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pin{st.Best.Config.String(), st.TotalEvals, math.Float64bits(st.Best.TotalPower)}
+		if got != w {
+			t.Errorf("%s: got {%q, %d, %#x}, want {%q, %d, %#x}", k.name,
+				got.config, got.evals, got.power, w.config, w.evals, w.power)
+		}
+	}
+}

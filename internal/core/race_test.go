@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"pipesyn/internal/sched"
+	"pipesyn/internal/testutil"
 )
 
 // TestOptimizeRaceParallelMatchesSerial pins racing's half of the
@@ -119,5 +124,28 @@ func TestOptimizeRaceEmitsRungEvents(t *testing.T) {
 	}
 	if last.Pruned != st.Race.Pruned {
 		t.Fatalf("final event reports %d pruned, stats say %d", last.Pruned, st.Race.Pruned)
+	}
+}
+
+// TestOptimizeRacePanicNamesDesignPoint: a worker panic inside a racing
+// rung surfaces as a *sched.PanicError labelled with the design point,
+// exactly like the uniform flow's, not with the rung's task index.
+func TestOptimizeRacePanicNamesDesignPoint(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for _, workers := range []int{1, 2} {
+		opts := eqOpts(12)
+		opts.Race = true
+		opts.Workers = workers
+		opts.Synth.EvalHook = func(context.Context, int) error {
+			panic("injected racing fault")
+		}
+		_, err := Optimize(context.Background(), opts)
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *sched.PanicError", workers, err)
+		}
+		if !strings.Contains(pe.Label, "design point stage") || pe.Value != "injected racing fault" {
+			t.Fatalf("workers=%d: panic %q: %v does not name the design point", workers, pe.Label, pe.Value)
+		}
 	}
 }

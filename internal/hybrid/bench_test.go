@@ -30,7 +30,8 @@ func benchSizings(tb testing.TB, n int) []opamp.Amp {
 }
 
 // BenchmarkEvaluateSerial8 evaluates 8 candidates through independent
-// Evaluate calls: each pays its own netlist build, layout compile,
+// Evaluate calls: each is a width-1 batch that pays its own netlist
+// build, one layout compile shared by its DC and transient legs,
 // symbolic analysis, and workspace allocation.
 func BenchmarkEvaluateSerial8(b *testing.B) {
 	st := relaxedStage(b)
@@ -55,11 +56,13 @@ func BenchmarkEvaluateSerial8(b *testing.B) {
 func BenchmarkEvaluateBatch8(b *testing.B) {
 	st := relaxedStage(b)
 	sizings := benchSizings(b, 8)
+	ms := make([]Metrics, len(sizings))
+	errs := make([]error, len(sizings))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
 		se.NewtonReuse = true
-		_, errs := se.EvaluateBatch(context.Background(), sizings)
+		se.EvaluateBatch(context.Background(), sizings, ms, errs)
 		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)

@@ -91,8 +91,8 @@ type StageEvaluator struct {
 
 	// NewtonReuse enables the simulator's factorization-reuse Newton
 	// variant (DESIGN.md §5.5) on the DC and transient legs. It applies
-	// identically to the serial and batched paths, so Evaluate and
-	// EvaluateBatch stay bitwise interchangeable for a given setting.
+	// identically at every batch width, so Evaluate and EvaluateBatch
+	// stay bitwise interchangeable for a given setting.
 	NewtonReuse bool
 
 	prog *expr.Program
@@ -113,76 +113,83 @@ func Evaluate(ctx context.Context, st mdac.Stage, mode Mode) (Metrics, error) {
 	return se.Evaluate(ctx, st.Sizing)
 }
 
-// Evaluate scores one sizing candidate. All candidates evaluated through
-// one StageEvaluator must share a topology (the compiled loop transfer
-// function is cached per topology).
-//
-// One evaluation is the engine's cancellation granule: ctx is checked on
-// entry and between the DC, transfer-function, and transient legs, so a
-// cancelled synthesis returns within the leg already in flight.
+// Evaluate scores one sizing candidate: a width-1 EvaluateBatch. All
+// candidates evaluated through one StageEvaluator must share a topology
+// (the compiled loop transfer function is cached per topology).
 func (se *StageEvaluator) Evaluate(ctx context.Context, sizing opamp.Amp) (Metrics, error) {
-	if err := ctx.Err(); err != nil {
-		return Metrics{}, err
-	}
-	st := mdac.Stage{Spec: se.Spec, Sizing: sizing, Process: se.Process}
-	switch se.Mode {
-	case EquationOnly:
-		return evaluateEquations(st)
-	case Hybrid, SimOnly:
-		return se.evaluateWithSim(ctx, st)
-	}
-	return Metrics{}, fmt.Errorf("hybrid: unknown mode %d", se.Mode)
+	var m [1]Metrics
+	var err [1]error
+	se.EvaluateBatch(ctx, []opamp.Amp{sizing}, m[:], err[:])
+	return m[0], err[0]
 }
 
-// EvaluateBatch scores a population of sizing candidates in one call,
-// sharing a single warm simulation kernel (layout, sparsity analysis,
-// solver workspaces) across all of them. Candidates are evaluated in
-// index order and every result is bitwise identical to calling Evaluate
-// on the same sizing, so callers may switch between the two paths
-// without perturbing a deterministic synthesis run.
+// EvaluateBatch scores a population of sizing candidates into the
+// index-aligned metrics and errs slices (errs[i] is nil exactly when
+// metrics[i] is valid). The simulation modes share one warm sim.Batch
+// kernel (layout, sparsity analysis, solver workspaces) across the
+// candidates, so a single candidate compiles its hold circuit once for
+// both the DC and transient legs. Every result is bitwise identical to
+// evaluating the same sizing alone, so the batch width never perturbs
+// a deterministic synthesis run.
 //
-// The returned slices are index-aligned with sizings: errs[i] is nil
-// exactly when metrics[i] is valid. Cancellation is checked between
-// candidates; once ctx is done the remaining entries carry ctx.Err().
-func (se *StageEvaluator) EvaluateBatch(ctx context.Context, sizings []opamp.Amp) ([]Metrics, []error) {
-	metrics := make([]Metrics, len(sizings))
-	errs := make([]error, len(sizings))
-	if se.Mode != EquationOnly && len(sizings) > 1 {
-		holds := make([]*netlist.Circuit, len(sizings))
-		var buildErr error
+// One candidate is the engine's cancellation granule: ctx is checked
+// before each candidate and between its DC, transfer-function, and
+// transient legs; once ctx is done the remaining entries carry ctx.Err().
+func (se *StageEvaluator) EvaluateBatch(ctx context.Context, sizings []opamp.Amp, metrics []Metrics, errs []error) {
+	switch se.Mode {
+	case EquationOnly:
 		for i, sz := range sizings {
-			st := mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process}
-			holds[i], buildErr = st.HoldCircuit()
-			if buildErr != nil {
-				break
+			if errs[i] = ctx.Err(); errs[i] != nil {
+				metrics[i] = Metrics{}
+				continue
 			}
+			metrics[i], errs[i] = evaluateEquations(mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process})
 		}
-		if buildErr == nil {
-			bt, err := sim.NewBatch(holds)
-			if err == nil {
-				for i, sz := range sizings {
-					if err := ctx.Err(); err != nil {
-						errs[i] = err
-						continue
-					}
-					st := mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process}
-					metrics[i], errs[i] = se.evaluateHold(ctx, st, holds[i], batchSolver{bt: bt, idx: i})
-				}
-				return metrics, errs
-			}
+		return
+	case Hybrid, SimOnly:
+	default:
+		for i := range sizings {
+			metrics[i], errs[i] = Metrics{}, fmt.Errorf("hybrid: unknown mode %d", se.Mode)
 		}
-		// Hold construction or batch binding failed (e.g. a candidate
-		// changed the topology): fall through to the serial path, which
-		// reports per-candidate errors with full context.
+		return
 	}
-	for i := range sizings {
-		if err := ctx.Err(); err != nil {
+	holds := make([]*netlist.Circuit, 0, len(sizings))
+	idx := make([]int, 0, len(sizings)) // candidate index of each hold
+	for i, sz := range sizings {
+		metrics[i], errs[i] = Metrics{Mode: se.Mode}, nil
+		st := mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process}
+		hold, err := st.HoldCircuit()
+		if err != nil {
 			errs[i] = err
 			continue
 		}
-		metrics[i], errs[i] = se.Evaluate(ctx, sizings[i])
+		holds = append(holds, hold)
+		idx = append(idx, i)
 	}
-	return metrics, errs
+	if len(holds) == 0 {
+		return
+	}
+	bt, err := sim.NewBatch(holds)
+	if err != nil {
+		if len(holds) == 1 {
+			errs[idx[0]] = fmt.Errorf("hybrid: closed-loop OP: %w", err)
+			return
+		}
+		// A candidate that does not bind to the shared kernel (e.g. it
+		// changed the topology) must fail only itself: score each one
+		// as its own width-1 batch.
+		for _, i := range idx {
+			se.EvaluateBatch(ctx, sizings[i:i+1], metrics[i:i+1], errs[i:i+1])
+		}
+		return
+	}
+	for j, i := range idx {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			continue
+		}
+		st := mdac.Stage{Spec: se.Spec, Sizing: sizings[i], Process: se.Process}
+		metrics[i], errs[i] = se.evaluateHold(ctx, st, holds[j], bt, j)
+	}
 }
 
 // compileLoopTF builds and caches the symbolic loop transfer function
@@ -256,61 +263,17 @@ func evaluateEquations(st mdac.Stage) (Metrics, error) {
 	return m, nil
 }
 
-// holdSolver abstracts how the closed-loop hold circuit's DC and
-// transient legs are solved: standalone sim calls, or a warm sim.Batch
-// kernel shared across a candidate population. Both produce bit-identical
-// results, so the evaluation metrics do not depend on the path taken.
-type holdSolver interface {
-	op(hold *netlist.Circuit, opts sim.DCOpts) (*sim.DCResult, error)
-	tran(hold *netlist.Circuit, opts sim.TranOpts) (*sim.TranResult, error)
-}
-
-// standaloneSolver compiles the circuit on every call (the historical
-// single-candidate path).
-type standaloneSolver struct{}
-
-func (standaloneSolver) op(hold *netlist.Circuit, opts sim.DCOpts) (*sim.DCResult, error) {
-	return sim.OP(hold, opts)
-}
-
-func (standaloneSolver) tran(hold *netlist.Circuit, opts sim.TranOpts) (*sim.TranResult, error) {
-	return sim.Tran(hold, opts)
-}
-
-// batchSolver routes the hold-circuit legs of candidate idx through a
-// shared warm kernel.
-type batchSolver struct {
-	bt  *sim.Batch
-	idx int
-}
-
-func (bs batchSolver) op(_ *netlist.Circuit, opts sim.DCOpts) (*sim.DCResult, error) {
-	return bs.bt.OP(bs.idx, opts)
-}
-
-func (bs batchSolver) tran(_ *netlist.Circuit, opts sim.TranOpts) (*sim.TranResult, error) {
-	return bs.bt.Tran(bs.idx, opts)
-}
-
-// evaluateWithSim shares the DC + transient legs between Hybrid and
-// SimOnly; they differ in how the loop transfer function is obtained.
-func (se *StageEvaluator) evaluateWithSim(ctx context.Context, st mdac.Stage) (Metrics, error) {
-	hold, err := st.HoldCircuit()
-	if err != nil {
-		return Metrics{Mode: se.Mode}, err
-	}
-	return se.evaluateHold(ctx, st, hold, standaloneSolver{})
-}
-
-// evaluateHold runs the three evaluation legs against an already-built
-// hold circuit, solving the DC and transient legs through sv.
-func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold *netlist.Circuit, sv holdSolver) (Metrics, error) {
+// evaluateHold runs the three evaluation legs for candidate idx of the
+// warm kernel bt, whose hold circuit is hold. Hybrid and SimOnly share
+// the DC and transient legs; they differ in how the loop transfer
+// function is obtained.
+func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold *netlist.Circuit, bt *sim.Batch, idx int) (Metrics, error) {
 	mode := se.Mode
 	m := Metrics{Mode: mode}
 	sp := st.Spec
 
 	tDC := time.Now()
-	op, err := sv.op(hold, sim.DCOpts{NewtonReuse: se.NewtonReuse})
+	op, err := bt.OP(idx, sim.DCOpts{NewtonReuse: se.NewtonReuse})
 	if err != nil {
 		return m, fmt.Errorf("hybrid: closed-loop OP: %w", err)
 	}
@@ -395,7 +358,7 @@ func (se *StageEvaluator) evaluateHold(ctx context.Context, st mdac.Stage, hold 
 	tStop := mdac.StepDelay + 1.5*window
 	tStep := window / 400
 	tTran := time.Now()
-	tr, err := sv.tran(hold, sim.TranOpts{TStop: tStop, TStep: tStep, NewtonReuse: se.NewtonReuse})
+	tr, err := bt.Tran(idx, sim.TranOpts{TStop: tStop, TStep: tStep, NewtonReuse: se.NewtonReuse})
 	if err != nil {
 		return m, fmt.Errorf("hybrid: transient: %w", err)
 	}

@@ -193,12 +193,12 @@ func synthTran() *sim.TranResult {
 	return tr
 }
 
-// TestEvaluateBatchMatchesSerial: the batched evaluator is a pure
-// throughput optimization — every metric must be bitwise identical to
-// the serial Evaluate path for the same sizing.
+// TestEvaluateBatchMatchesSerial: the batch width is a pure throughput
+// knob — every metric must be bitwise identical to a one-candidate
+// Evaluate of the same sizing, with the full-Newton solver and with
+// NewtonReuse (the StageEvaluator doc promises both).
 func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	st := relaxedStage(t)
-	se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
 	base := st.Sizing.Vector()
 	sizings := make([]opamp.Amp, 4)
 	for i := range sizings {
@@ -212,48 +212,88 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 		}
 		sizings[i] = sz.Bound(st.Process)
 	}
-	batchM, batchE := se.EvaluateBatch(context.Background(), sizings)
-	// Fresh evaluator for the serial pass so the TF cache state matches.
-	se2 := NewStageEvaluator(st.Spec, st.Process, Hybrid)
-	for i, sz := range sizings {
-		serial, err := se2.Evaluate(context.Background(), sz)
-		if batchE[i] != nil || err != nil {
-			if (batchE[i] == nil) != (err == nil) {
-				t.Fatalf("cand %d: batch err %v, serial err %v", i, batchE[i], err)
+	for _, reuse := range []bool{false, true} {
+		se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
+		se.NewtonReuse = reuse
+		batchM := make([]Metrics, len(sizings))
+		batchE := make([]error, len(sizings))
+		se.EvaluateBatch(context.Background(), sizings, batchM, batchE)
+		// Fresh evaluator for the serial pass so the TF cache state matches.
+		se2 := NewStageEvaluator(st.Spec, st.Process, Hybrid)
+		se2.NewtonReuse = reuse
+		for i, sz := range sizings {
+			serial, err := se2.Evaluate(context.Background(), sz)
+			if batchE[i] != nil || err != nil {
+				if (batchE[i] == nil) != (err == nil) {
+					t.Fatalf("reuse=%v cand %d: batch err %v, serial err %v", reuse, i, batchE[i], err)
+				}
+				continue
 			}
-			continue
-		}
-		b := batchM[i]
-		pairs := [][2]float64{
-			{b.Power, serial.Power}, {b.LoopGain0, serial.LoopGain0},
-			{b.AmpGain, serial.AmpGain}, {b.CrossoverHz, serial.CrossoverHz},
-			{b.PhaseMargin, serial.PhaseMargin}, {b.StaticError, serial.StaticError},
-			{b.SettleTime, serial.SettleTime},
-			{b.SwingLo, serial.SwingLo}, {b.SwingHi, serial.SwingHi},
-		}
-		for k, p := range pairs {
-			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-				t.Fatalf("cand %d metric %d: batch %.17g vs serial %.17g", i, k, p[0], p[1])
+			b := batchM[i]
+			pairs := [][2]float64{
+				{b.Power, serial.Power}, {b.LoopGain0, serial.LoopGain0},
+				{b.AmpGain, serial.AmpGain}, {b.CrossoverHz, serial.CrossoverHz},
+				{b.PhaseMargin, serial.PhaseMargin}, {b.StaticError, serial.StaticError},
+				{b.SettleTime, serial.SettleTime},
+				{b.SwingLo, serial.SwingLo}, {b.SwingHi, serial.SwingHi},
 			}
-		}
-		if b.Settled != serial.Settled || b.AllSaturated != serial.AllSaturated {
-			t.Fatalf("cand %d: boolean metrics diverge", i)
+			for k, p := range pairs {
+				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+					t.Fatalf("reuse=%v cand %d metric %d: batch %.17g vs serial %.17g", reuse, i, k, p[0], p[1])
+				}
+			}
+			if b.Settled != serial.Settled || b.AllSaturated != serial.AllSaturated {
+				t.Fatalf("reuse=%v cand %d: boolean metrics diverge", reuse, i)
+			}
 		}
 	}
 }
 
 // TestEvaluateBatchEquationMode: the batch entry point must work for the
-// equation-only evaluator too (plain serial loop underneath).
+// equation-only evaluator too (closed-form loop underneath).
 func TestEvaluateBatchEquationMode(t *testing.T) {
 	st := relaxedStage(t)
 	se := NewStageEvaluator(st.Spec, st.Process, EquationOnly)
-	ms, errs := se.EvaluateBatch(context.Background(), []opamp.Amp{st.Sizing, st.Sizing})
+	ms, errs := make([]Metrics, 2), make([]error, 2)
+	se.EvaluateBatch(context.Background(), []opamp.Amp{st.Sizing, st.Sizing}, ms, errs)
 	for i := range ms {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
 		if ms[i].Power <= 0 {
 			t.Fatalf("cand %d: power %g", i, ms[i].Power)
+		}
+	}
+}
+
+// TestEvaluateBatchUnbindableCandidates: candidates that cannot share one
+// kernel (here two amplifier cells, so the hold circuits differ in
+// structure) are each scored as their own width-1 batch, with the same
+// metrics as evaluating them one at a time.
+func TestEvaluateBatchUnbindableCandidates(t *testing.T) {
+	st := relaxedStage(t)
+	tele, err := opamp.Initial(opamp.Telescopic, st.Process, opamp.BlockSpec{
+		GBW: st.Spec.GBWMin, SR: st.Spec.SRMin, CLoad: st.Spec.CLoad, CFeed: st.Spec.CFeed,
+		Gain: st.Spec.GainMin, Swing: st.Spec.SwingMin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SimOnly: the loop transfer function comes from an AC sweep, not
+	// from the per-topology compiled program, so mixing cells is valid.
+	sizings := []opamp.Amp{st.Sizing, tele}
+	se := NewStageEvaluator(st.Spec, st.Process, SimOnly)
+	ms, errs := make([]Metrics, 2), make([]error, 2)
+	se.EvaluateBatch(context.Background(), sizings, ms, errs)
+	for i, sz := range sizings {
+		want, err := NewStageEvaluator(st.Spec, st.Process, SimOnly).Evaluate(context.Background(), sz)
+		if errs[i] != nil || err != nil {
+			t.Fatalf("cand %d: batch err %v, alone err %v", i, errs[i], err)
+		}
+		if math.Float64bits(ms[i].Power) != math.Float64bits(want.Power) ||
+			math.Float64bits(ms[i].SettleTime) != math.Float64bits(want.SettleTime) ||
+			math.Float64bits(ms[i].CrossoverHz) != math.Float64bits(want.CrossoverHz) {
+			t.Fatalf("cand %d: batch %+v vs alone %+v", i, ms[i], want)
 		}
 	}
 }

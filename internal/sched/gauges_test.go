@@ -43,20 +43,20 @@ func TestPoolGaugesForEach(t *testing.T) {
 	}
 }
 
-// TestPoolGaugesRunSettleOnCancel verifies the gauges also settle when a
-// DAG run drains nodes without executing them (cancellation path).
-func TestPoolGaugesRunSettleOnCancel(t *testing.T) {
+// TestPoolGaugesSettleOnCancel verifies the gauges also settle when a
+// cancelled ForEach leaves indices unclaimed.
+func TestPoolGaugesSettleOnCancel(t *testing.T) {
 	p := NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // every node drains unrun
-	nodes := make([]Node, 6)
-	for i := range nodes {
-		nodes[i] = Node{Run: func(ctx context.Context) error { return nil }}
-	}
-	if err := Run(ctx, p, nodes); err == nil {
-		t.Fatal("cancelled Run returned nil")
+	err := p.ForEach(ctx, 6, func(i int) {
+		if i == 1 {
+			cancel() // the remaining indices are never claimed
+		}
+	})
+	if err == nil {
+		t.Fatal("cancelled ForEach returned nil")
 	}
 	if p.Queued() != 0 || p.InFlight() != 0 {
-		t.Fatalf("after cancelled Run: queued %d inflight %d", p.Queued(), p.InFlight())
+		t.Fatalf("after cancelled ForEach: queued %d inflight %d", p.Queued(), p.InFlight())
 	}
 }

@@ -63,7 +63,7 @@ func TestForEachPanicFaultIsolated(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
 		}
-		if pe.Value != "injected fault" || !strings.Contains(pe.Label, "3") {
+		if pe.Value != "injected fault" || pe.Index != 3 || !strings.Contains(pe.Label, "3") {
 			t.Fatalf("workers=%d: PanicError = %+v", workers, pe)
 		}
 		if len(pe.Stack) == 0 {
@@ -72,103 +72,17 @@ func TestForEachPanicFaultIsolated(t *testing.T) {
 	}
 }
 
-// TestRunCancelDrainsDeterministically cancels a DAG mid-flight: Run
-// must return promptly with ctx.Err(), never start post-cancel nodes,
-// and still account for every node (no wedged drain, no leaks).
-func TestRunCancelDrainsDeterministically(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int32
-		const n = 100
-		nodes := make([]Node, n)
-		for i := range nodes {
-			i := i
-			var deps []int
-			if i > 0 {
-				deps = []int{i - 1} // a chain: cancellation hits mid-walk
-			}
-			nodes[i] = Node{Deps: deps, Run: func(context.Context) error {
-				if ran.Add(1) == 10 {
-					cancel()
-				}
-				return nil
-			}}
-		}
-		start := time.Now()
-		err := Run(ctx, NewPool(workers), nodes)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if got := ran.Load(); got > 10+int32(workers) {
-			t.Fatalf("workers=%d: %d nodes ran after cancellation", workers, got)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("cancelled Run took %s to drain", elapsed)
-		}
-		cancel()
-	}
-}
-
-// TestRunPanicFaultNamesNode: a panicking node becomes an error naming
-// the node via its Label, dependents never run, and the DAG drains.
-func TestRunPanicFaultNamesNode(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	for _, workers := range []int{1, 4} {
-		depRan := false
-		nodes := []Node{
-			{Label: "healthy", Run: func(context.Context) error { return nil }},
-			{Label: "design point stage 3 (2-bit)", Run: func(context.Context) error {
-				panic("evaluator blew up")
-			}},
-			{Deps: []int{1}, Label: "dependent", Run: func(context.Context) error {
-				depRan = true
-				return nil
-			}},
-		}
-		err := Run(context.Background(), NewPool(workers), nodes)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
-		}
-		if pe.Label != "design point stage 3 (2-bit)" {
-			t.Fatalf("workers=%d: panic labelled %q", workers, pe.Label)
-		}
-		if depRan {
-			t.Fatal("dependent of a panicked node ran")
-		}
-	}
-}
-
-// TestRunPreCancelled returns ctx.Err() without running any node.
-func TestRunPreCancelled(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	nodes := []Node{{Run: func(context.Context) error {
-		t.Error("node ran under a pre-cancelled context")
-		return nil
-	}}}
-	if err := Run(ctx, NewPool(2), nodes); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestRunDeadlineLeak exercises the timeout form of cancellation under
-// stalled nodes: every node blocks until the deadline, Run must return
-// DeadlineExceeded and release all helper goroutines.
-func TestRunDeadlineLeak(t *testing.T) {
+// TestForEachDeadlineLeak exercises the timeout form of cancellation
+// under stalled tasks: every task blocks until the deadline, ForEach must
+// return DeadlineExceeded and release all helper goroutines.
+func TestForEachDeadlineLeak(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	nodes := make([]Node, 8)
-	for i := range nodes {
-		nodes[i] = Node{Run: func(ctx context.Context) error {
-			<-ctx.Done() // a stalled evaluation that honors cancellation
-			return ctx.Err()
-		}}
-	}
-	if err := Run(ctx, NewPool(4), nodes); !errors.Is(err, context.DeadlineExceeded) {
+	err := NewPool(4).ForEach(ctx, 8, func(int) {
+		<-ctx.Done() // a stalled evaluation that honors cancellation
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

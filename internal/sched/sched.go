@@ -1,17 +1,15 @@
 // Package sched provides the shared concurrency substrate for the
-// synthesis engine: a bounded worker budget (Pool) and a deterministic
-// DAG runner (Run) for design points whose warm-start sources must
-// complete before they dispatch.
+// synthesis engine: a bounded worker budget (Pool) and its index-space
+// fan-out (ForEach).
 //
 // The paper's flow is embarrassingly parallel almost everywhere — the
 // ~20 exact MDAC design points of a study, the independent restarts of
 // one synthesis, and the per-resolution studies of a sweep are all
-// independent evaluator-bound work — except for retargeting, where a
-// design point prefers to seed from a neighbouring completed result.
-// sched models that preference as an explicit dependency edge so the
-// parallel schedule sees exactly the warm sources the serial schedule
-// would, which is what makes the parallel study bit-identical to the
-// serial one.
+// independent evaluator-bound work. The one ordering constraint,
+// retargeting's preference for a completed neighbour as warm start, is
+// expressed by the caller as successive ForEach waves (see core), so
+// the parallel schedule sees exactly the warm sources the serial one
+// would.
 //
 // Deadlock freedom under nesting (a sweep running studies, each study
 // running design points, each design point running restarts, all on one
@@ -20,13 +18,12 @@
 // goroutine always executes work itself, so forward progress never
 // depends on a token being released.
 //
-// sched is also the engine's fault boundary. Both ForEach and Run accept
-// a context: cancellation stops new work from dispatching (in-flight
-// tasks finish their current unit) and surfaces as ctx.Err(). A panic in
-// any task — whether it runs on a helper goroutine or inline on the
-// caller — is recovered and converted into a *PanicError instead of
-// crashing the process, and the DAG keeps draining deterministically so
-// every started node is accounted for before Run returns.
+// sched is also the engine's fault boundary. ForEach accepts a context:
+// cancellation stops new work from dispatching (in-flight tasks finish
+// their current unit) and surfaces as ctx.Err(). A panic in any task —
+// whether it runs on a helper goroutine or inline on the caller — is
+// recovered and converted into a *PanicError instead of crashing the
+// process.
 package sched
 
 import (
@@ -39,10 +36,12 @@ import (
 )
 
 // PanicError is a worker panic converted into an error at the sched
-// fault boundary. Label names the unit of work that panicked (the DAG
-// node's Label, or the task index), Value is the recovered panic value,
+// fault boundary. Index is the ForEach task index that panicked, Label
+// names that unit of work ("task N" until a caller that knows what the
+// index stands for relabels it), Value is the recovered panic value,
 // and Stack is the panicking goroutine's stack trace.
 type PanicError struct {
+	Index int
 	Label string
 	Value any
 	Stack []byte
@@ -62,7 +61,7 @@ type Pool struct {
 
 	// Load gauges for operational visibility (the adcsynd /metrics
 	// endpoint scrapes them): queued counts tasks admitted to a ForEach
-	// or Run that have not started executing yet, inflight counts tasks
+	// that have not started executing yet, inflight counts tasks
 	// currently executing. Both are plain atomics so the hot dispatch
 	// path pays two adds per task.
 	queued   atomic.Int64
@@ -70,8 +69,8 @@ type Pool struct {
 }
 
 // NewPool sizes a budget of `workers` concurrent executors. workers <= 0
-// defaults to GOMAXPROCS; workers == 1 makes every ForEach and Run fully
-// serial on the calling goroutine, in deterministic index order.
+// defaults to GOMAXPROCS; workers == 1 makes every ForEach fully serial
+// on the calling goroutine, in deterministic index order.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -82,13 +81,13 @@ func NewPool(workers int) *Pool {
 // Workers reports the configured concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Queued reports how many admitted tasks across all active ForEach and
-// Run calls have not started executing yet. It is a point-in-time gauge
+// Queued reports how many admitted tasks across all active ForEach
+// calls have not started executing yet. It is a point-in-time gauge
 // for monitoring, not a synchronization primitive.
 func (p *Pool) Queued() int64 { return p.queued.Load() }
 
 // InFlight reports how many tasks are executing right now across all
-// active ForEach and Run calls on this pool.
+// active ForEach calls on this pool.
 func (p *Pool) InFlight() int64 { return p.inflight.Load() }
 
 // TryAcquire claims a helper slot without blocking. Callers that get a
@@ -134,6 +133,7 @@ func (p *Pool) ForEach(ctx context.Context, n int, f func(int)) error {
 			if r := recover(); r != nil {
 				mu.Lock()
 				panics[i] = &PanicError{
+					Index: i,
 					Label: fmt.Sprintf("task %d", i),
 					Value: r,
 					Stack: debug.Stack(),
@@ -179,157 +179,6 @@ func (p *Pool) ForEach(ctx context.Context, n int, f func(int)) error {
 	}
 	if first != nil {
 		return first
-	}
-	return nil
-}
-
-// Node is one unit of DAG work. Deps lists the indices of nodes that
-// must complete before this one runs — for a retargeting study, the
-// design points this node would consider as warm-start seeds. Label
-// names the node in fault reports (a panicking node surfaces as a
-// *PanicError carrying it); empty labels fall back to the node index.
-type Node struct {
-	Deps  []int
-	Label string
-	Run   func(ctx context.Context) error
-}
-
-// Run executes the nodes respecting dependency edges, with at most
-// pool.Workers() nodes in flight. Ready nodes dispatch lowest-index
-// first, so a 1-worker pool reproduces the serial schedule exactly.
-//
-// Once any node fails, no further nodes start (in-flight ones finish);
-// Run returns the error of the lowest-index failed node, which is
-// deterministic regardless of worker count. Cancelling ctx likewise
-// stops new nodes from starting: the remaining nodes drain unrun with
-// ctx.Err() recorded, so a cancelled Run always reports an error that
-// satisfies errors.Is(err, ctx.Err()). A panicking node is isolated at
-// this boundary — recovered into a *PanicError naming the node — and
-// never takes down the process or wedges the drain.
-func Run(ctx context.Context, pool *Pool, nodes []Node) error {
-	n := len(nodes)
-	if n == 0 {
-		return nil
-	}
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for i, nd := range nodes {
-		for _, d := range nd.Deps {
-			if d < 0 || d >= n {
-				return fmt.Errorf("sched: node %d depends on out-of-range node %d", i, d)
-			}
-			if d >= i {
-				// Edges must point backwards: warm sources precede their
-				// consumers in sorted key order, and this rules out cycles.
-				return fmt.Errorf("sched: node %d depends on later node %d", i, d)
-			}
-			indeg[i]++
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-
-	ready := make([]bool, n)
-	readyCount := 0
-	for i := range nodes {
-		if indeg[i] == 0 {
-			ready[i] = true
-			readyCount++
-		}
-	}
-	popMin := func() int {
-		for i := range ready {
-			if ready[i] {
-				ready[i] = false
-				readyCount--
-				return i
-			}
-		}
-		return -1
-	}
-
-	pool.queued.Add(int64(n))
-	// Every node leaves the ready set exactly once — run or drained — so
-	// the gauge settles to its prior value when Run returns.
-
-	// exec runs one node behind the panic fault boundary.
-	exec := func(i int) (err error) {
-		pool.inflight.Add(1)
-		defer pool.inflight.Add(-1)
-		defer func() {
-			if r := recover(); r != nil {
-				label := nodes[i].Label
-				if label == "" {
-					label = fmt.Sprintf("node %d", i)
-				}
-				err = &PanicError{Label: label, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		return nodes[i].Run(ctx)
-	}
-
-	errs := make([]error, n)
-	done := make(chan int, n) // buffered: workers never block reporting
-	completed := 0
-	failed := false
-	finish := func(i int) {
-		completed++
-		if errs[i] != nil {
-			failed = true
-		}
-		for _, d := range dependents[i] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready[d] = true
-				readyCount++
-			}
-		}
-	}
-
-	// Every edge points backwards (d < i), so the graph is acyclic and the
-	// dispatcher always finds either a ready node or an in-flight one
-	// until all n have finished.
-	inFlight := 0
-	for completed < n {
-		cancelled := ctx.Err() != nil
-		// Spawn helpers for ready nodes while the pool has spare slots.
-		for readyCount > 0 && !failed && !cancelled && pool.TryAcquire() {
-			i := popMin()
-			pool.queued.Add(-1)
-			inFlight++
-			go func(i int) {
-				defer pool.Release()
-				errs[i] = exec(i)
-				done <- i
-			}(i)
-		}
-		if readyCount > 0 {
-			// No spare slot (or aborting): the dispatcher works too.
-			// After a failure this branch drains the remaining nodes
-			// without running them; after a cancellation the drained
-			// nodes record ctx.Err() so the cause is never lost.
-			i := popMin()
-			pool.queued.Add(-1)
-			switch {
-			case !failed && !cancelled:
-				errs[i] = exec(i)
-			case cancelled:
-				errs[i] = ctx.Err()
-			}
-			finish(i)
-			continue
-		}
-		i := <-done
-		inFlight--
-		finish(i)
-	}
-	return firstErr(errs)
-}
-
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

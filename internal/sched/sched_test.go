@@ -2,8 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,125 +85,4 @@ func TestForEachNestedDoesNotDeadlock(t *testing.T) {
 	if total.Load() != 64 {
 		t.Fatalf("nested ForEach ran %d of 64 tasks", total.Load())
 	}
-}
-
-func TestRunRespectsDeps(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := NewPool(workers)
-		const n = 30
-		var doneAt [n]atomic.Int64
-		var clock atomic.Int64
-		nodes := make([]Node, n)
-		for i := 0; i < n; i++ {
-			i := i
-			var deps []int
-			if i >= 2 {
-				deps = []int{i - 2}
-			}
-			nodes[i] = Node{Deps: deps, Run: func(context.Context) error {
-				for _, d := range nodes[i].Deps {
-					if doneAt[d].Load() == 0 {
-						t.Errorf("node %d ran before dep %d", i, d)
-					}
-				}
-				doneAt[i].Store(clock.Add(1))
-				return nil
-			}}
-		}
-		if err := Run(context.Background(), p, nodes); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range doneAt {
-			if doneAt[i].Load() == 0 {
-				t.Fatalf("workers=%d: node %d never ran", workers, i)
-			}
-		}
-	}
-}
-
-func TestRunSerialOrderWithOneWorker(t *testing.T) {
-	p := NewPool(1)
-	var order []int
-	nodes := make([]Node, 12)
-	for i := range nodes {
-		i := i
-		nodes[i] = Node{Run: func(context.Context) error { order = append(order, i); return nil }}
-	}
-	if err := Run(context.Background(), p, nodes); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial DAG out of order: %v", order)
-		}
-	}
-}
-
-func TestRunReturnsLowestIndexError(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	for _, workers := range []int{1, 4} {
-		nodes := []Node{
-			{Run: func(context.Context) error { return nil }},
-			{Run: func(context.Context) error { return errA }},
-			{Run: func(context.Context) error { return errB }},
-			{Deps: []int{1}, Run: func(context.Context) error { t.Error("dependent of failed node ran"); return nil }},
-		}
-		err := Run(context.Background(), NewPool(workers), nodes)
-		if !errors.Is(err, errA) && !errors.Is(err, errB) {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		if workers == 1 && !errors.Is(err, errA) {
-			t.Fatalf("serial run must surface the first error, got %v", err)
-		}
-	}
-}
-
-func TestRunRejectsForwardAndBogusEdges(t *testing.T) {
-	ok := func(context.Context) error { return nil }
-	if err := Run(context.Background(), NewPool(1), []Node{{Deps: []int{1}, Run: ok}, {Run: ok}}); err == nil {
-		t.Fatal("forward edge accepted")
-	}
-	if err := Run(context.Background(), NewPool(1), []Node{{Deps: []int{-1}, Run: ok}}); err == nil {
-		t.Fatal("negative edge accepted")
-	}
-	if err := Run(context.Background(), NewPool(1), nil); err != nil {
-		t.Fatalf("empty DAG: %v", err)
-	}
-}
-
-// TestRunManyNodesUnderRace gives the race detector a dense interleaving
-// to chew on (the `make race` CI lane).
-func TestRunManyNodesUnderRace(t *testing.T) {
-	p := NewPool(8)
-	const n = 200
-	results := make([]int, n)
-	nodes := make([]Node, n)
-	for i := range nodes {
-		i := i
-		var deps []int
-		if i > 0 {
-			deps = append(deps, (i-1)/2) // binary-tree shape
-		}
-		nodes[i] = Node{Deps: deps, Run: func(context.Context) error {
-			v := i
-			for _, d := range nodes[i].Deps {
-				v += results[d] // cross-goroutine read through the DAG edge
-			}
-			results[i] = v
-			return nil
-		}}
-	}
-	if err := Run(context.Background(), p, nodes); err != nil {
-		t.Fatal(err)
-	}
-	if results[0] != 0 {
-		t.Fatal("root result wrong")
-	}
-	for i := 1; i < n; i++ {
-		if results[i] != i+results[(i-1)/2] {
-			t.Fatalf("node %d result %d, want %d", i, results[i], i+results[(i-1)/2])
-		}
-	}
-	_ = fmt.Sprint(results[n-1])
 }

@@ -1,11 +1,11 @@
 // Content-addressed result cache for the sizing engine. A synthesis is a
-// pure function of (block spec, process, optimizer options, topology), so
-// its result can be keyed by a hash of those inputs and replayed for
-// free: regenerating figures, re-running a sweep, or retargeting a study
-// all hit the same design points again. The warm-start seed is
-// deliberately excluded from the key — warm and cold runs of the same
-// request are interchangeable answers to the same question, which is
-// what turns a retarget study over cached specs into pure cache hits.
+// pure function of (block spec, process, optimizer options, topology,
+// warm-start seed), so its result can be keyed by a hash of those inputs
+// and replayed for free: regenerating figures, re-running a sweep, or
+// replaying a retarget or racing study all hit the same design points
+// again. A warm start is part of the address because it changes the
+// answer — it seeds the search and shrinks its budget — so a warm run
+// never stands in for the cold run of the same spec, or vice versa.
 package synth
 
 import (
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -32,12 +33,12 @@ func init() {
 	gob.Register(opamp.TelescopicSizing{})
 }
 
-// Canonical returns a copy of o with the execution-only knobs cleared —
-// WarmStart (see package comment), Workers, Pool, Cache, EvalHook, and
-// Progress can never change the result — and the zero fields normalized
-// to their defaults. Two Options with equal Canonical forms request the
-// same synthesis; CacheKey and the service-level study content address
-// both hash this form.
+// Canonical returns the cold form of o: the execution-only knobs
+// (Workers, Pool, Cache, EvalHook, Progress), which can never change the
+// result, and the per-run WarmStart seed cleared, and the zero fields
+// normalized to their defaults. Two cold Options with equal Canonical
+// forms request the same synthesis; CacheKey (which keys a warm seed on
+// top) and the study content address both hash this form.
 func (o Options) Canonical() Options {
 	o.WarmStart = nil
 	o.Workers = 0
@@ -54,6 +55,14 @@ func (o Options) Canonical() Options {
 // optimizer options (see Canonical). Keys are stable across processes,
 // so a disk store written by one run is valid for every later one.
 func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
+	var warm []uint64
+	if opts.WarmStart != nil {
+		v := opts.WarmStart.Vector()
+		warm = make([]uint64, len(v))
+		for i, x := range v {
+			warm[i] = math.Float64bits(x)
+		}
+	}
 	opts = opts.Canonical()
 	procName := ""
 	if proc != nil {
@@ -77,10 +86,13 @@ func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 		// Surrogate redirects every few annealer moves to the quadratic
 		// model's proposal, changing the trajectory; keys only when on.
 		Surrogate bool `json:",omitempty"`
+		// WarmStart is the seed sizing's exact bit pattern; omitted for
+		// cold runs, so their keys are unchanged.
+		WarmStart []uint64 `json:",omitempty"`
 	}
 	kf := keyFields{spec, procName, opts.Seed, opts.MaxEvals, opts.PatternIter,
 		opts.Restarts, opts.InitTemp, opts.CoolRate, opts.PenaltyW,
-		int(opts.Mode), int(opts.Topology), 0, opts.NewtonReuse, opts.Surrogate}
+		int(opts.Mode), int(opts.Topology), 0, opts.NewtonReuse, opts.Surrogate, warm}
 	if opts.BatchEval > 1 {
 		kf.BatchEval = opts.BatchEval
 	}

@@ -24,13 +24,23 @@ func TestCacheKeyStability(t *testing.T) {
 		t.Fatal("key not deterministic")
 	}
 
-	// Execution knobs and the warm-start seed must not move the key.
+	// Execution knobs must not move the key.
 	same := opts
 	same.Workers = 8
 	same.Cache, _ = NewCache(1, "")
-	same.WarmStart = opamp.MillerSizing{W1: 1e-6}
 	if CacheKey(spec, proc, same) != key {
-		t.Fatal("Workers/Cache/WarmStart leaked into the key")
+		t.Fatal("Workers/Cache leaked into the key")
+	}
+	// A warm start changes the answer, so it keys by its seed sizing.
+	warm := opts
+	warm.WarmStart = opamp.MillerSizing{W1: 1e-6}
+	warmKey := CacheKey(spec, proc, warm)
+	if warmKey == key {
+		t.Fatal("warm-started request shares the cold content address")
+	}
+	warm.WarmStart = opamp.MillerSizing{W1: 2e-6}
+	if CacheKey(spec, proc, warm) == warmKey {
+		t.Fatal("different warm seeds share a content address")
 	}
 	// Zero options normalize to their defaults, so explicit defaults
 	// share the address with implied ones.
@@ -162,7 +172,8 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 
 // TestSynthesizeCacheHitSkipsEvaluator drives the cache through
 // Synthesize itself: the second identical request replays the result
-// with zero evaluator calls, warm-start differences notwithstanding.
+// with zero evaluator calls, while a warm-started request for the same
+// spec is a different question and searches afresh.
 func TestSynthesizeCacheHitSkipsEvaluator(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	cache, err := NewCache(0, "")
@@ -190,18 +201,21 @@ func TestSynthesizeCacheHitSkipsEvaluator(t *testing.T) {
 	if warm.Cost != cold.Cost || warm.Feasible != cold.Feasible {
 		t.Fatal("cached result differs from the original")
 	}
-	// A warm-started request for the same spec is the same content
-	// address — the retarget flow turns into a cache hit too.
+	// A warm-started request for the same spec is a different content
+	// address (a warm start seeds the search and shrinks its budget); its
+	// own replay is then free.
 	retarget := opts
 	retarget.WarmStart = cold.Sizing
-	hit, err := Synthesize(context.Background(), spec, proc, retarget)
-	if err != nil {
-		t.Fatal(err)
+	for run, wantHit := range []bool{false, true} {
+		res, err := Synthesize(context.Background(), spec, proc, retarget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit != wantHit {
+			t.Fatalf("warm-started run %d: hit=%v, want %v", run, res.CacheHit, wantHit)
+		}
 	}
-	if !hit.CacheHit {
-		t.Fatal("warm-started request missed the cache")
-	}
-	if st := cache.Stats(); st.Hits != 2 || st.Misses != 1 {
+	if st := cache.Stats(); st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

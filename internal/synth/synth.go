@@ -42,10 +42,10 @@ type Options struct {
 	// draws BatchEval perturbations of the incumbent with sequential RNG
 	// draws, scores them through one warm simulation kernel
 	// (hybrid.EvaluateBatch), and folds the acceptance decisions in index
-	// order. 0 or 1 keeps the historical one-candidate-per-move loop and
-	// its exact search trajectory; widths >1 trade per-move locality for
-	// kernel amortization and follow a different (still deterministic)
-	// trajectory, so the value is part of the cache key only when >1.
+	// order. 0 and 1 both mean one candidate per move; widths >1 trade
+	// per-move locality for kernel amortization and follow a different
+	// (still deterministic) trajectory, so the value is part of the
+	// cache key only when >1.
 	BatchEval int
 	// NewtonReuse turns on the simulator's factorization-reuse Newton
 	// variant for every evaluation in the search (DESIGN.md §5.5). The
@@ -329,7 +329,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 
 	// Simulated annealing over log-space perturbations. The context is
 	// the abort signal: it is checked once per move, so a cancelled study
-	// stops after the candidate (or batch) in flight.
+	// stops after the batch in flight.
 	temp := opts.InitTemp
 	fold := func(sc scored) bool {
 		accepted := false
@@ -351,59 +351,38 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 		temp *= opts.CoolRate
 		return accepted
 	}
+	// Each move draws BatchEval perturbations of the incumbent at the
+	// move-start temperature (sequential RNG draws, so the trajectory is
+	// reproducible for a fixed width), scores them through one warm
+	// kernel, and folds the acceptance decisions in index order, cooling
+	// once per candidate so the schedule length does not depend on the
+	// width. Width 1 is the classic one-candidate-per-move annealer.
+	cands := make([]opamp.Amp, opts.BatchEval)
 	moves := 0
 	for ev.evals < opts.MaxEvals {
 		if err := ctx.Err(); err != nil {
 			return nil, ev.evals, err
 		}
 		moves++
-		if opts.BatchEval <= 1 {
+		batch := cands[:min(opts.BatchEval, opts.MaxEvals-ev.evals)]
+		surIdx := -1
+		for j := range batch {
 			// Every surrogatePeriod-th move the quadratic model, when it
-			// has something to say, takes the slot a random perturbation
-			// would have used. Skipping the perturb shifts the RNG stream
+			// has something to say, takes slot 0 in place of a random
+			// perturbation. Skipping the perturb shifts the RNG stream
 			// relative to a surrogate-off run, which is fine: Surrogate is
 			// part of the cache key, like BatchEval.
-			if sur != nil && moves%surrogatePeriod == 0 {
-				if cand, ok := sur.propose(cur.sizing, proc); ok {
-					sur.proposals++
-					sc := ev.score(ctx, cand)
-					sur.observe(sc)
-					if fold(sc) {
-						sur.accepted++
-					}
-					continue
-				}
-			}
-			sc := ev.score(ctx, perturb(rng, cur.sizing, temp, proc))
-			sur.observe(sc)
-			fold(sc)
-			continue
-		}
-		// Batched move: every perturbation starts from the incumbent and
-		// the batch-start temperature (the draws are sequential, so the
-		// trajectory is reproducible for a fixed BatchEval); acceptance
-		// folds in index order, cooling once per candidate to keep the
-		// schedule length identical to the serial loop.
-		n := opts.BatchEval
-		if rem := opts.MaxEvals - ev.evals; n > rem {
-			n = rem
-		}
-		cands := make([]opamp.Amp, n)
-		surIdx := -1
-		for j := range cands {
-			// In batch mode a surrogate proposal rides as candidate 0 of
-			// the periodic batch; the remaining slots stay random draws.
 			if j == 0 && sur != nil && moves%surrogatePeriod == 0 {
 				if cand, ok := sur.propose(cur.sizing, proc); ok {
-					cands[0] = cand
+					batch[0] = cand
 					surIdx = 0
 					sur.proposals++
 					continue
 				}
 			}
-			cands[j] = perturb(rng, cur.sizing, temp, proc)
+			batch[j] = perturb(rng, cur.sizing, temp, proc)
 		}
-		for j, sc := range ev.scoreBatch(ctx, cands) {
+		for j, sc := range ev.scoreBatch(ctx, batch) {
 			sur.observe(sc)
 			if fold(sc) && j == surIdx {
 				sur.accepted++
@@ -461,6 +440,17 @@ type evaluator struct {
 	batch    int // Options.BatchEval; >1 batches the pattern-search sweeps too
 	hook     func(ctx context.Context, eval int) error
 	progress func(p Progress)
+
+	// Scoring scratch, reused so a scored candidate allocates nothing
+	// beyond its evaluation: out backs scoreBatch's result (valid until
+	// the next call), the rest stage the hook-admitted candidates for
+	// the kernel.
+	out     []scored
+	keep    []int
+	sizings []opamp.Amp
+	metrics []hybrid.Metrics
+	errs    []error
+	one     [1]opamp.Amp
 }
 
 func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, penaltyW float64, hook func(context.Context, int) error, progress func(Progress)) *evaluator {
@@ -472,22 +462,10 @@ func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, 
 	}
 }
 
-// score runs the configured evaluation mode and folds constraint
-// violations into a scalar cost: normalized power plus weighted penalty.
+// score evaluates one candidate: a width-1 scoreBatch.
 func (ev *evaluator) score(ctx context.Context, s opamp.Amp) scored {
-	ev.evals++
-	ord := ev.evals
-	if ev.progress != nil {
-		start := time.Now()
-		defer func() { ev.progress(Progress{Eval: ord, Elapsed: time.Since(start)}) }()
-	}
-	if ev.hook != nil {
-		if err := ev.hook(ctx, ord); err != nil {
-			return scored{sizing: s, ord: ord, err: err, cost: math.Inf(1)}
-		}
-	}
-	m, err := ev.se.Evaluate(ctx, s)
-	return ev.finish(s, ord, m, err)
+	ev.one[0] = s
+	return ev.scoreBatch(ctx, ev.one[:])[0]
 }
 
 // finish folds an evaluation outcome into a scored candidate: constraint
@@ -508,15 +486,26 @@ func (ev *evaluator) finish(s opamp.Amp, ord int, m hybrid.Metrics, err error) s
 }
 
 // scoreBatch scores a slice of candidates through one warm simulation
-// kernel. Hooks run per candidate in index order with the same ordinals
-// the serial path would assign; hook-rejected candidates are excluded
-// from the kernel call but still counted. Progress observations are
-// emitted per candidate after the batch completes, each carrying an
-// equal share of the batch's wall-clock cost.
+// kernel. Hooks run per candidate in index order, each with its 1-based
+// evaluation ordinal; hook-rejected candidates are excluded from the
+// kernel call but still counted. Progress observations are emitted per
+// candidate after the batch completes, each carrying an equal share of
+// the batch's wall-clock cost. The returned slice is evaluator-owned and
+// valid until the next call.
 func (ev *evaluator) scoreBatch(ctx context.Context, cands []opamp.Amp) []scored {
-	out := make([]scored, len(cands))
-	keep := make([]int, 0, len(cands))
-	start := time.Now()
+	n := len(cands)
+	var start time.Time
+	if ev.progress != nil {
+		start = time.Now()
+	}
+	if cap(ev.out) < n {
+		ev.out = make([]scored, n)
+		ev.keep = make([]int, n)
+		ev.sizings = make([]opamp.Amp, n)
+		ev.metrics = make([]hybrid.Metrics, n)
+		ev.errs = make([]error, n)
+	}
+	out, keep := ev.out[:n], ev.keep[:0]
 	for i, s := range cands {
 		ev.evals++
 		out[i] = scored{sizing: s, ord: ev.evals}
@@ -531,18 +520,18 @@ func (ev *evaluator) scoreBatch(ctx context.Context, cands []opamp.Amp) []scored
 	}
 	// The hook can reject every candidate in a chunk; skip the kernel
 	// call instead of handing it a zero-length batch.
-	if len(keep) > 0 {
-		sub := make([]opamp.Amp, len(keep))
+	if k := len(keep); k > 0 {
+		sub := ev.sizings[:k]
 		for j, i := range keep {
 			sub[j] = cands[i]
 		}
-		ms, errs := ev.se.EvaluateBatch(ctx, sub)
+		ev.se.EvaluateBatch(ctx, sub, ev.metrics[:k], ev.errs[:k])
 		for j, i := range keep {
-			out[i] = ev.finish(cands[i], out[i].ord, ms[j], errs[j])
+			out[i] = ev.finish(cands[i], out[i].ord, ev.metrics[j], ev.errs[j])
 		}
 	}
 	if ev.progress != nil {
-		share := time.Since(start) / time.Duration(len(cands))
+		share := time.Since(start) / time.Duration(n)
 		for i := range out {
 			ev.progress(Progress{Eval: out[i].ord, Elapsed: share})
 		}

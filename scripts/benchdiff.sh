@@ -27,12 +27,9 @@ fresh=$(mktemp) && base_tbl=$(mktemp) && fresh_tbl=$(mktemp)
 trap 'rm -f "$fresh" "$base_tbl" "$fresh_tbl"' EXIT
 
 echo "benchdiff: fresh run (benchtime $BENCHTIME)..." >&2
-# Mirror the `make bench` package set, filters, and volatile-field strip.
-filter=$(dirname "$0")/benchfilter.sh
-go test -json -bench=. -benchmem -run='^$' -benchtime "$BENCHTIME" \
-    ./internal/la ./internal/expr ./internal/sim ./internal/hybrid | "$filter" > "$fresh"
-go test -json -bench='^Benchmark(OP|TranSettle|TranSettleFullNewton|ACSweep|Study13b)$' \
-    -benchmem -run='^$' -benchtime "$BENCHTIME" . | "$filter" >> "$fresh"
+# The same benchmark set and volatile-field strip as `make bench`.
+dir=$(dirname "$0")
+"$dir/bench.sh" -json -benchmem -benchtime "$BENCHTIME" | "$dir/benchfilter.sh" > "$fresh"
 
 # Extract "pkg/BenchmarkName ns_op" pairs from go-test JSON events.
 extract() {
