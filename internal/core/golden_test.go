@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pipesyn/internal/enum"
@@ -133,4 +136,70 @@ func TestGoldenTrajectories(t *testing.T) {
 				got.config, got.evals, got.power, w.config, w.evals, w.power)
 		}
 	}
+}
+
+// TestGoldenEquationTrajectories pins 13-bit EquationOnly studies (two
+// restarts per synthesis) under the search knobs whose scoring paths
+// differ: the winner, evaluator spend and exact winner power, plus a
+// digest over every MDAC record's exact cost, violation sum and failure
+// list. Every record of these studies is feasible, so the digest pins
+// zero violations and empty failure lists; hybrid.TestCheckReportGolden
+// pins the failure lines themselves. Recorded before the search loop
+// switched from per-candidate spec reports to a violation scalar. The
+// equation evaluator is cheap enough to run under -short, so these pins
+// guard the annealer, pattern search, surrogate and racing bookkeeping
+// on every test run.
+func TestGoldenEquationTrajectories(t *testing.T) {
+	type pin struct {
+		config  string
+		evals   int
+		power   uint64 // math.Float64bits(Best.TotalPower)
+		records string // equationRecordDigest over Study.MDACs
+	}
+	want := map[string]pin{
+		"default/1":    {"3-3-3", 20741, 0x3f56bc0c1cb38124, "5ace7916a0de2817"},
+		"surrogate/1":  {"4-3-2", 20720, 0x3f43096bd364ba14, "f71c8fc4febe9a64"},
+		"batch4/1":     {"4-3-2", 20700, 0x3f55a402a319669d, "910d69f6c60cfdab"},
+		"race/1":       {"3-3-3", 9980, 0x3f551a830d89185f, "a86eb652f353451a"},
+		"default/13":   {"4-3-2", 20740, 0x3f44c684551a9bc3, "00664b7d7ede56b6"},
+		"surrogate/13": {"4-3-2", 20730, 0x3f44258b3a95179a, "699d2a112fd97c0e"},
+		"batch4/13":    {"4-3-2", 20680, 0x3f52aea87b373023, "c5438d2e00e04c75"},
+		"race/13":      {"4-3-2", 10301, 0x3f46d2d29afb0072, "ef5175e11f77b479"},
+	}
+	for _, k := range goldenKnobs {
+		for _, seed := range []int64{1, 13} {
+			name := fmt.Sprintf("%s/%d", k.name, seed)
+			w, ok := want[name]
+			if !ok {
+				continue
+			}
+			o := Options{Bits: 13, Mode: hybrid.EquationOnly, Workers: 1,
+				Synth: synth.Options{Seed: seed, Restarts: 2}}
+			k.set(&o)
+			st, err := Optimize(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, lines := equationRecordDigest(st.MDACs)
+			got := pin{st.Best.Config.String(), st.TotalEvals, math.Float64bits(st.Best.TotalPower), digest}
+			if got != w {
+				t.Errorf("%s: got {%q, %d, %#x, %q}, want {%q, %d, %#x, %q}\nrecords:\n%s", name,
+					got.config, got.evals, got.power, got.records,
+					w.config, w.evals, w.power, w.records, lines)
+			}
+		}
+	}
+}
+
+// equationRecordDigest renders one line per MDAC record — design point,
+// exact synthesis cost, exact violation sum, failure list — and returns
+// the first 16 hex digits of their SHA-256 alongside the lines.
+func equationRecordDigest(recs []MDACRecord) (string, string) {
+	var b strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%v %#x %#x %q\n", r.Key, math.Float64bits(r.Result.Cost),
+			math.Float64bits(r.Result.Report.Violations), r.Result.Report.Failures)
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return fmt.Sprintf("%x", sum[:8]), b.String()
 }

@@ -13,18 +13,18 @@ import (
 func benchSizings(tb testing.TB, n int) []opamp.Amp {
 	tb.Helper()
 	st := relaxedStage(tb)
-	base := st.Sizing.Vector()
+	base := st.Sizing.AppendVector(nil)
 	out := make([]opamp.Amp, n)
 	for i := range out {
 		v := append([]float64(nil), base...)
 		for j := range v {
 			v[j] *= 1 + 0.04*float64(i)*float64(j%3)
 		}
-		sz, err := st.Sizing.WithVector(v)
+		sz, err := st.Sizing.WithVector(v, st.Process)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out[i] = sz.Bound(st.Process)
+		out[i] = sz
 	}
 	return out
 }

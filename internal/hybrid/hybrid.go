@@ -83,7 +83,9 @@ type Metrics struct {
 // It caches the compiled symbolic loop transfer function: the MDAC
 // topology never changes during a synthesis run, so the expensive
 // DPI/SFG + Mason step happens once and every candidate only re-binds the
-// extracted small-signal values.
+// extracted small-signal values. It also owns the transfer-function
+// sweep's scratch buffers, so it is not safe for concurrent use: each
+// synthesis restart builds its own.
 type StageEvaluator struct {
 	Spec    stagespec.MDACSpec
 	Process *pdk.Process
@@ -98,6 +100,13 @@ type StageEvaluator struct {
 	prog *expr.Program
 	vars []string
 	sIdx int
+
+	// sweepProgram scratch: the program's variable slots, the frequency
+	// grid and its values, and the evaluation stack.
+	slot  []complex128
+	freqs []float64
+	vals  []complex128
+	buf   expr.EvalBuf
 }
 
 // NewStageEvaluator prepares an evaluator for the given block spec.
@@ -106,7 +115,7 @@ func NewStageEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode Mode) *S
 }
 
 // Evaluate scores a candidate stage under the given mode. For repeated
-// evaluations of the same spec (synthesis inner loop), prefer a shared
+// evaluations of the same spec (synthesis inner loop), reuse one
 // StageEvaluator, which caches the symbolic transfer function.
 func Evaluate(ctx context.Context, st mdac.Stage, mode Mode) (Metrics, error) {
 	se := NewStageEvaluator(st.Spec, st.Process, mode)
@@ -138,12 +147,14 @@ func (se *StageEvaluator) Evaluate(ctx context.Context, sizing opamp.Amp) (Metri
 func (se *StageEvaluator) EvaluateBatch(ctx context.Context, sizings []opamp.Amp, metrics []Metrics, errs []error) {
 	switch se.Mode {
 	case EquationOnly:
+		st := mdac.Stage{Spec: se.Spec, Process: se.Process}
 		for i, sz := range sizings {
 			if errs[i] = ctx.Err(); errs[i] != nil {
 				metrics[i] = Metrics{}
 				continue
 			}
-			metrics[i], errs[i] = evaluateEquations(mdac.Stage{Spec: se.Spec, Sizing: sz, Process: se.Process})
+			st.Sizing = sz
+			evaluateEquations(&st, &metrics[i])
 		}
 		return
 	case Hybrid, SimOnly:
@@ -232,12 +243,13 @@ func (se *StageEvaluator) compileLoopTF(amp opamp.Amp) error {
 	return nil
 }
 
-// evaluateEquations is the pure closed-form path: no simulator calls.
-func evaluateEquations(st mdac.Stage) (Metrics, error) {
-	sp := st.Spec
+// evaluateEquations is the pure closed-form path into m: no simulator
+// calls, and it cannot fail.
+func evaluateEquations(st *mdac.Stage, m *Metrics) {
+	sp := &st.Spec
 	eq := st.Sizing.Analyze(st.Process, sp.CLoad+sp.CFeed)
 	beta := sp.Beta
-	m := Metrics{Mode: EquationOnly}
+	*m = Metrics{Mode: EquationOnly}
 	m.Power = eq.Power
 	m.AmpGain = eq.A0
 	m.LoopGain0 = eq.A0 * beta
@@ -260,7 +272,6 @@ func evaluateEquations(st mdac.Stage) (Metrics, error) {
 	m.Settled = m.SettleTime <= sp.TSettle+sp.TSlew
 	m.SwingLo, m.SwingHi = eq.SwingLo, eq.SwingHi
 	m.AllSaturated = true // equations assume intended regions
-	return m, nil
 }
 
 // evaluateHold runs the three evaluation legs for candidate idx of the
@@ -386,6 +397,8 @@ func (se *StageEvaluator) loopMetrics(env map[string]float64) (loopMet, error) {
 	}
 	negate(coarseV) // loop gain T = −V(fb)/V(drive)
 	met := loopMetricsFrom(coarseF, coarseV)
+	// The fine sweep reuses the coarse sweep's buffers; met holds all
+	// that is needed from it.
 	if met.crossover > 0 {
 		lo := met.crossover / 3
 		hi := met.crossover * 3
@@ -411,9 +424,13 @@ func negate(v []complex128) {
 
 // sweepProgram evaluates the cached transfer-function program over a
 // log-frequency grid — the "numerical transfer function" leg of the
-// hybrid evaluator.
+// hybrid evaluator. The returned slices are evaluator-owned and valid
+// until the next call.
 func (se *StageEvaluator) sweepProgram(env map[string]float64, fLo, fHi float64, ppd int) ([]float64, []complex128, error) {
-	slot := make([]complex128, len(se.vars))
+	if len(se.slot) != len(se.vars) {
+		se.slot = make([]complex128, len(se.vars))
+	}
+	slot := se.slot
 	for i, name := range se.vars {
 		if i == se.sIdx {
 			continue
@@ -429,16 +446,16 @@ func (se *StageEvaluator) sweepProgram(env map[string]float64, fLo, fHi float64,
 	if n < 2 {
 		n = 2
 	}
-	freqs := make([]float64, n)
-	vals := make([]complex128, n)
-	// Per-call (not per-evaluator) buffer: evaluators are shared across
-	// the parallel scheduler's workers, the buffer must not be.
-	var buf expr.EvalBuf
+	if cap(se.freqs) < n {
+		se.freqs = make([]float64, n)
+		se.vals = make([]complex128, n)
+	}
+	freqs, vals := se.freqs[:n], se.vals[:n]
 	for i := 0; i < n; i++ {
 		f := fLo * math.Pow(10, decades*float64(i)/float64(n-1))
 		freqs[i] = f
 		slot[se.sIdx] = complex(0, 2*math.Pi*f)
-		v, err := se.prog.EvalCInto(&buf, slot)
+		v, err := se.prog.EvalCInto(&se.buf, slot)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -522,46 +539,90 @@ func SettleTime(tr *sim.TranResult, node string, t0, band float64) (float64, boo
 	return tr.T[lastOutside+1] - t0, true, nil
 }
 
-// CheckSpec converts raw metrics into a pass/fail audit against the block
-// spec, with a scalar violation measure for penalty-based optimization
-// (0 = feasible; larger = worse).
+// SpecReport is the pass/fail audit of one candidate against its block
+// spec: the scalar violation measure penalty-based optimization uses
+// (0 = feasible; larger = worse) and one human-readable line per failed
+// spec term.
 type SpecReport struct {
 	Violations float64
 	Failures   []string
 }
 
-// Check audits metrics against the stage spec. PMMin is the phase-margin
-// floor (60° is the customary settling-friendly target).
+// specTerm is one audited requirement of a candidate: its normalized
+// shortfall, positive exactly when the requirement fails, and the
+// failure line — format, formatted with the measured value got and the
+// threshold limit unless plain.
+type specTerm struct {
+	short      float64
+	format     string
+	got, limit float64
+	plain      bool
+}
+
+func (t *specTerm) line() string {
+	if t.plain {
+		return t.format
+	}
+	return fmt.Sprintf(t.format, t.got, t.limit)
+}
+
+// specTerms audits every requirement in report order. It is the one
+// definition Check and Violations share, so their sums agree term by
+// term.
+func specTerms(sp *Specs, m *Metrics) [9]specTerm {
+	// A swing term's difference is positive exactly when the comparison
+	// fails: gradual underflow keeps the difference of two distinct
+	// finite floats nonzero, and NaN fails both.
+	return [...]specTerm{
+		{short: rel(sp.GainMin, m.AmpGain), format: "gain %.0f < required %.0f", got: m.AmpGain, limit: sp.GainMin},
+		{short: rel(sp.CrossoverMin, m.CrossoverHz), format: "crossover %.3g < required %.3g", got: m.CrossoverHz, limit: sp.CrossoverMin},
+		{short: rel(sp.PMMin, m.PhaseMargin), format: "PM %.1f° < required %.1f°", got: m.PhaseMargin, limit: sp.PMMin},
+		{short: rel(m.StaticError, sp.StaticErrMax) * 0.5, format: "static error %.2g > budget %.2g", got: m.StaticError, limit: sp.StaticErrMax},
+		{short: flag(!m.Settled, 1), format: "did not settle in window", plain: true},
+		{short: rel(m.SettleTime, sp.SettleTimeMax), format: "settle %.3g > window %.3g", got: m.SettleTime, limit: sp.SettleTimeMax},
+		{short: m.SwingLo - sp.SwingLoMax, format: "swing floor %.2f above %.2f", got: m.SwingLo, limit: sp.SwingLoMax},
+		{short: sp.SwingHiMin - m.SwingHi, format: "swing ceiling %.2f below %.2f", got: m.SwingHi, limit: sp.SwingHiMin},
+		{short: flag(!m.AllSaturated, 2), format: "device out of saturation", plain: true},
+	}
+}
+
+// Check audits metrics against the stage spec: the violation sum plus a
+// formatted line per failed requirement. PMMin is the phase-margin
+// floor (60° is the customary settling-friendly target). Formatting
+// allocates, so the search loop scores candidates with Violations and
+// calls Check once, on the result it returns.
 func Check(sp Specs, m Metrics) SpecReport {
 	var r SpecReport
-	add := func(short float64, format string, args ...interface{}) {
-		if short > 0 {
-			r.Violations += short
-			r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
+	terms := specTerms(&sp, &m)
+	for i := range terms {
+		if t := &terms[i]; t.short > 0 {
+			r.Violations += t.short
+			r.Failures = append(r.Failures, t.line())
 		}
 	}
-	add(rel(sp.GainMin, m.AmpGain), "gain %.0f < required %.0f", m.AmpGain, sp.GainMin)
-	add(rel(sp.CrossoverMin, m.CrossoverHz), "crossover %.3g < required %.3g", m.CrossoverHz, sp.CrossoverMin)
-	add(rel(sp.PMMin, m.PhaseMargin), "PM %.1f° < required %.1f°", m.PhaseMargin, sp.PMMin)
-	add(rel(m.StaticError, sp.StaticErrMax)*0.5, "static error %.2g > budget %.2g", m.StaticError, sp.StaticErrMax)
-	if !m.Settled {
-		r.Violations += 1
-		r.Failures = append(r.Failures, "did not settle in window")
-	}
-	add(rel(m.SettleTime, sp.SettleTimeMax), "settle %.3g > window %.3g", m.SettleTime, sp.SettleTimeMax)
-	if m.SwingLo > sp.SwingLoMax {
-		r.Violations += (m.SwingLo - sp.SwingLoMax)
-		r.Failures = append(r.Failures, fmt.Sprintf("swing floor %.2f above %.2f", m.SwingLo, sp.SwingLoMax))
-	}
-	if m.SwingHi < sp.SwingHiMin {
-		r.Violations += (sp.SwingHiMin - m.SwingHi)
-		r.Failures = append(r.Failures, fmt.Sprintf("swing ceiling %.2f below %.2f", m.SwingHi, sp.SwingHiMin))
-	}
-	if !m.AllSaturated {
-		r.Violations += 2
-		r.Failures = append(r.Failures, "device out of saturation")
-	}
 	return r
+}
+
+// Violations returns Check(sp, m).Violations — the same additions in the
+// same order, so the two agree bitwise — without building the failure
+// lines. It does not allocate.
+func Violations(sp Specs, m Metrics) float64 {
+	v := 0.0
+	terms := specTerms(&sp, &m)
+	for i := range terms {
+		if t := &terms[i]; t.short > 0 {
+			v += t.short
+		}
+	}
+	return v
+}
+
+// flag returns weight when failed, else 0.
+func flag(failed bool, weight float64) float64 {
+	if failed {
+		return weight
+	}
+	return 0
 }
 
 // rel returns the normalized shortfall of got versus a want-at-least

@@ -3,8 +3,11 @@ package hybrid
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"pipesyn/internal/dpi"
 	"pipesyn/internal/enum"
 	"pipesyn/internal/mdac"
 	"pipesyn/internal/opamp"
@@ -140,6 +143,127 @@ func TestCheckAudit(t *testing.T) {
 	if r.Violations <= 0 || len(r.Failures) < 3 {
 		t.Fatalf("bad metrics not flagged: %+v", r)
 	}
+
+	// A candidate missing every requirement: SpecReport lands in study
+	// JSON and the synthesis cache, so its exact sum and lines are
+	// pinned.
+	worst := Metrics{
+		AmpGain: specs.GainMin / 4, CrossoverHz: specs.CrossoverMin / 3,
+		PhaseMargin: 41.25, StaticError: specs.StaticErrMax * 3,
+		SettleTime: specs.SettleTimeMax * 1.5, Settled: false,
+		SwingLo: specs.SwingLoMax + 0.125, SwingHi: specs.SwingHiMin - 0.25,
+		AllSaturated: false,
+	}
+	want := []string{
+		"gain 128 < required 512",
+		"crossover 2.75e+07 < required 8.24e+07",
+		"PM 41.2° < required 60.0°",
+		"static error 0.012 > budget 0.0039",
+		"did not settle in window",
+		"settle 1.87e-08 > window 1.25e-08",
+		"swing floor 1.02 above 0.90",
+		"swing ceiling 1.65 below 1.90",
+		"device out of saturation",
+	}
+	r = Check(specs, worst)
+	if got := math.Float64bits(r.Violations); got != 0x4017155555555556 {
+		t.Errorf("violations %#x (%g), want 0x4017155555555556", got, r.Violations)
+	}
+	if !reflect.DeepEqual(r.Failures, want) {
+		t.Errorf("failures\n  %q\nwant\n  %q", r.Failures, want)
+	}
+}
+
+// TestViolationsMatchesCheck: the allocation-free violation sum must
+// equal Check's bit for bit, and Check must list a failure exactly when
+// that sum is nonzero — over random metrics around the thresholds and
+// the edge cases: NaN, ±Inf, values exactly at a threshold, an inverted
+// swing window, and non-positive thresholds.
+func TestViolationsMatchesCheck(t *testing.T) {
+	base := SpecsFor(relaxedStage(t))
+	rng := rand.New(rand.NewSource(4))
+	edge := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1}
+	// pick draws a metric value near limit: often exactly on it, often
+	// an edge value, otherwise a random multiple of it.
+	pick := func(limit float64) float64 {
+		switch r := rng.Intn(8); {
+		case r == 0:
+			return limit
+		case r == 1:
+			return math.Nextafter(limit, math.Inf(2*rng.Intn(2)-1))
+		case r == 2:
+			return edge[rng.Intn(len(edge))]
+		default:
+			return limit * math.Exp(rng.NormFloat64())
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		sp := base
+		if i%4 == 0 {
+			// Perturbed thresholds, including zero, negative and
+			// non-finite ones, and an inverted (lo above hi) window.
+			for _, f := range []*float64{&sp.GainMin, &sp.CrossoverMin, &sp.PMMin,
+				&sp.StaticErrMax, &sp.SettleTimeMax, &sp.SwingLoMax, &sp.SwingHiMin} {
+				*f = pick(*f)
+			}
+		}
+		m := Metrics{
+			AmpGain: pick(sp.GainMin), CrossoverHz: pick(sp.CrossoverMin),
+			PhaseMargin: pick(sp.PMMin), StaticError: pick(sp.StaticErrMax),
+			SettleTime: pick(sp.SettleTimeMax), Settled: rng.Intn(2) == 0,
+			SwingLo: pick(sp.SwingLoMax), SwingHi: pick(sp.SwingHiMin),
+			AllSaturated: rng.Intn(2) == 0,
+		}
+		if i%7 == 0 {
+			m.SwingLo, m.SwingHi = sp.SwingHiMin+0.1, sp.SwingLoMax-0.1 // inverted swing
+		}
+		r := Check(sp, m)
+		v := Violations(sp, m)
+		if math.Float64bits(v) != math.Float64bits(r.Violations) {
+			t.Fatalf("case %d: Violations %v, Check %v\nspecs %+v\nmetrics %+v", i, v, r.Violations, sp, m)
+		}
+		if (len(r.Failures) == 0) != (v == 0) {
+			t.Fatalf("case %d: sum %v with failures %q\nspecs %+v\nmetrics %+v", i, v, r.Failures, sp, m)
+		}
+	}
+}
+
+// TestSweepProgramWarmAllocs: once an evaluator has compiled its loop
+// transfer function and sized its sweep buffers, a transfer-function
+// sweep allocates nothing.
+func TestSweepProgramWarmAllocs(t *testing.T) {
+	st := relaxedStage(t)
+	se := NewStageEvaluator(st.Spec, st.Process, Hybrid)
+	if err := se.compileLoopTF(st.Sizing); err != nil {
+		t.Fatal(err)
+	}
+	hold, err := st.HoldCircuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := sim.OP(hold, sim.DCOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := st.LoopCircuit(op.MOS[mdac.AmpPrefix+"m1"].CGS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := dpi.Env(loop, op, dpi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.loopMetrics(env); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := se.loopMetrics(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm loop-metrics sweep allocates %v times per call", allocs)
+	}
 }
 
 func TestModeString(t *testing.T) {
@@ -199,18 +323,18 @@ func synthTran() *sim.TranResult {
 // NewtonReuse (the StageEvaluator doc promises both).
 func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	st := relaxedStage(t)
-	base := st.Sizing.Vector()
+	base := st.Sizing.AppendVector(nil)
 	sizings := make([]opamp.Amp, 4)
 	for i := range sizings {
 		v := append([]float64(nil), base...)
 		for j := range v {
 			v[j] *= 1 + 0.05*float64(i)*float64(j%3)
 		}
-		sz, err := st.Sizing.WithVector(v)
+		sz, err := st.Sizing.WithVector(v, st.Process)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizings[i] = sz.Bound(st.Process)
+		sizings[i] = sz
 	}
 	for _, reuse := range []bool{false, true} {
 		se := NewStageEvaluator(st.Spec, st.Process, Hybrid)

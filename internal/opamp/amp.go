@@ -19,13 +19,11 @@ type Amp interface {
 	// convention (PortInP, PortInN, PortOut, PortVDD), prefixing internal
 	// nodes and element names.
 	Build(c *netlist.Circuit, p *pdk.Process, prefix string)
-	// Vector flattens the design variables.
-	Vector() []float64
-	// WithVector returns a new Amp of the same topology with the given
-	// variables.
-	WithVector(v []float64) (Amp, error)
-	// Bound clamps every variable to its manufacturable range.
-	Bound(p *pdk.Process) Amp
+	// AppendVector appends the design variables, flattened, to dst.
+	AppendVector(dst []float64) []float64
+	// WithVector returns a new Amp of the same topology holding the
+	// given variables, each clamped to its manufacturable range in p.
+	WithVector(v []float64, p *pdk.Process) (Amp, error)
 	// Analyze evaluates the designer's closed-form equations driving cl
 	// farads of load.
 	Analyze(p *pdk.Process, cl float64) Equations
@@ -72,11 +70,14 @@ func (s MillerSizing) Build(c *netlist.Circuit, p *pdk.Process, prefix string) {
 	Build(c, p, s, prefix)
 }
 
-// WithVector rebuilds the sizing from optimizer variables.
-func (s MillerSizing) WithVector(v []float64) (Amp, error) { return FromVector(v) }
-
-// Bound clamps the sizing (Amp interface form of Clamp).
-func (s MillerSizing) Bound(p *pdk.Process) Amp { return s.Clamp(p) }
+// WithVector rebuilds the clamped sizing from optimizer variables.
+func (s MillerSizing) WithVector(v []float64, p *pdk.Process) (Amp, error) {
+	m, err := FromVector(v)
+	if err != nil {
+		return nil, err
+	}
+	return m.Clamp(p), nil
+}
 
 // SwingWindow reads the two output devices: the NMOS sink m6 sets the
 // floor, the PMOS common-source m5 sets the ceiling.
@@ -99,11 +100,14 @@ func (s TelescopicSizing) Build(c *netlist.Circuit, p *pdk.Process, prefix strin
 	BuildTelescopic(c, p, s, prefix)
 }
 
-// WithVector rebuilds the sizing from optimizer variables.
-func (s TelescopicSizing) WithVector(v []float64) (Amp, error) { return TeleFromVector(v) }
-
-// Bound clamps the sizing (Amp interface form of Clamp).
-func (s TelescopicSizing) Bound(p *pdk.Process) Amp { return s.Clamp(p) }
+// WithVector rebuilds the clamped sizing from optimizer variables.
+func (s TelescopicSizing) WithVector(v []float64, p *pdk.Process) (Amp, error) {
+	t, err := TeleFromVector(v)
+	if err != nil {
+		return nil, err
+	}
+	return t.Clamp(p), nil
+}
 
 // SwingWindow reads the telescopic output stack: the floor is the cascode
 // source level plus its overdrive (four stacked devices), the ceiling one

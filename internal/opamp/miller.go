@@ -32,13 +32,14 @@ type MillerSizing struct {
 	RZ     float64 // zero-nulling resistor, Ω
 }
 
-// Vector flattens the sizing for the optimizer; FromVector inverts it.
-// All geometric quantities are optimized in log space by the caller.
-func (s MillerSizing) Vector() []float64 {
-	return []float64{s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.K2, s.IRef, s.CC, s.RZ}
+// AppendVector flattens the sizing for the optimizer onto dst;
+// FromVector inverts it. All geometric quantities are optimized in log
+// space by the caller.
+func (s MillerSizing) AppendVector(dst []float64) []float64 {
+	return append(dst, s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.K2, s.IRef, s.CC, s.RZ)
 }
 
-// VarNames labels the Vector entries, index-aligned.
+// VarNames labels the AppendVector entries, index-aligned.
 func VarNames() []string {
 	return []string{"W1", "L1", "W3", "L3", "W5", "L5", "KTail", "K2", "IRef", "CC", "RZ"}
 }

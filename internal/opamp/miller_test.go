@@ -121,7 +121,7 @@ func TestACGainOfBiasedAmp(t *testing.T) {
 func TestVectorRoundTrip(t *testing.T) {
 	p := pdk.TSMC025()
 	s := InitialSizing(p, testSpec())
-	v := s.Vector()
+	v := s.AppendVector(nil)
 	if len(v) != len(VarNames()) {
 		t.Fatalf("vector/name length mismatch %d vs %d", len(v), len(VarNames()))
 	}

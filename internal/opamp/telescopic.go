@@ -26,14 +26,14 @@ type TelescopicSizing struct {
 	VBN    float64 // cascode gate bias
 }
 
-// TeleVarNames labels TelescopicSizing.Vector entries.
+// TeleVarNames labels TelescopicSizing.AppendVector entries.
 func TeleVarNames() []string {
 	return []string{"W1", "L1", "W3", "L3", "W5", "L5", "KTail", "IRef", "VBN"}
 }
 
-// Vector flattens the sizing for an optimizer.
-func (s TelescopicSizing) Vector() []float64 {
-	return []float64{s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.IRef, s.VBN}
+// AppendVector flattens the sizing for an optimizer onto dst.
+func (s TelescopicSizing) AppendVector(dst []float64) []float64 {
+	return append(dst, s.W1, s.L1, s.W3, s.L3, s.W5, s.L5, s.KTail, s.IRef, s.VBN)
 }
 
 // TeleFromVector rebuilds a telescopic sizing from a vector.

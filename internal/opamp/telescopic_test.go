@@ -118,7 +118,7 @@ func TestTelescopicEquations(t *testing.T) {
 func TestTelescopicVectorRoundTrip(t *testing.T) {
 	p := pdk.TSMC025()
 	s := InitialTelescopic(p, teleSpec())
-	v := s.Vector()
+	v := s.AppendVector(nil)
 	if len(v) != len(TeleVarNames()) {
 		t.Fatalf("vector/name mismatch")
 	}

@@ -57,7 +57,7 @@ func (o Options) Canonical() Options {
 func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 	var warm []uint64
 	if opts.WarmStart != nil {
-		v := opts.WarmStart.Vector()
+		v := opts.WarmStart.AppendVector(nil)
 		warm = make([]uint64, len(v))
 		for i, x := range v {
 			warm[i] = math.Float64bits(x)

@@ -30,7 +30,7 @@ func TestPatternSearchPreservesTelescopic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, nil, nil)
-	start := ev.score(context.Background(), seed)
+	start := *ev.score(context.Background(), seed)
 	if start.err != nil {
 		t.Fatalf("telescopic seed failed to evaluate: %v", start.err)
 	}

@@ -41,44 +41,51 @@ type surrogate struct {
 	xs   [][]float64 // log-space sizing vectors (ring, insertion order)
 	ys   []float64   // scalar costs
 	next int         // overwrite cursor once the ring is full
+	vec  []float64   // scratch: an observed or incumbent sizing's variables
+	prop []float64   // scratch: the proposal's variables
 
 	proposals int // proposals issued to the evaluator
 	accepted  int // proposals the annealer accepted as incumbent
 }
 
 func newSurrogate(dims int) *surrogate {
-	return &surrogate{dims: dims}
+	return &surrogate{dims: dims, prop: make([]float64, dims)}
 }
 
 // observe folds one completed evaluation into the history. Failed or
 // unbounded-cost candidates carry no gradient information and are
 // skipped, as are vectors of unexpected shape.
-func (s *surrogate) observe(sc scored) {
+func (s *surrogate) observe(sc *scored) {
 	if s == nil || sc.err != nil || sc.sizing == nil {
 		return
 	}
 	if math.IsInf(sc.cost, 0) || math.IsNaN(sc.cost) {
 		return
 	}
-	v := sc.sizing.Vector()
+	v := sc.sizing.AppendVector(s.vec[:0])
+	s.vec = v
 	if len(v) != s.dims {
 		return
 	}
-	x := make([]float64, s.dims)
-	for i, val := range v {
+	for _, val := range v {
 		if val <= 0 {
 			return
 		}
-		x[i] = math.Log(val)
 	}
+	// Once the ring is full, the overwritten slot's vector is reused.
+	var x []float64
 	if len(s.xs) < surrogateWindow {
+		x = make([]float64, s.dims)
 		s.xs = append(s.xs, x)
 		s.ys = append(s.ys, sc.cost)
-		return
+	} else {
+		x = s.xs[s.next]
+		s.ys[s.next] = sc.cost
+		s.next = (s.next + 1) % surrogateWindow
 	}
-	s.xs[s.next] = x
-	s.ys[s.next] = sc.cost
-	s.next = (s.next + 1) % surrogateWindow
+	for i, val := range v {
+		x[i] = math.Log(val)
+	}
 }
 
 // propose fits the model and returns the trust-clamped minimizer built
@@ -89,12 +96,13 @@ func (s *surrogate) propose(incumbent opamp.Amp, proc *pdk.Process) (opamp.Amp, 
 	if s == nil || len(s.ys) < surrogateMinFit {
 		return nil, false
 	}
-	v := incumbent.Vector()
+	v := incumbent.AppendVector(s.vec[:0])
+	s.vec = v
 	if len(v) != s.dims {
 		return nil, false
 	}
 	moved := false
-	out := make([]float64, s.dims)
+	out := s.prop
 	for d := 0; d < s.dims; d++ {
 		xi := math.Log(v[d])
 		out[d] = v[d]
@@ -118,11 +126,11 @@ func (s *surrogate) propose(incumbent opamp.Amp, proc *pdk.Process) (opamp.Amp, 
 	if !moved {
 		return nil, false
 	}
-	cand, err := incumbent.WithVector(out)
+	cand, err := incumbent.WithVector(out, proc)
 	if err != nil {
 		return nil, false
 	}
-	return cand.Bound(proc), true
+	return cand, true
 }
 
 // fitDim least-squares fits y ≈ a·x² + b·x + c over the history's

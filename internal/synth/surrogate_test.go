@@ -61,15 +61,15 @@ func TestSurrogateObserveFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSurrogate(len(seed.Vector()))
-	s.observe(scored{sizing: seed, cost: math.Inf(1)})
-	s.observe(scored{sizing: seed, cost: 1, err: context.Canceled})
-	s.observe(scored{cost: 1})
+	s := newSurrogate(len(seed.AppendVector(nil)))
+	s.observe(&scored{sizing: seed, cost: math.Inf(1)})
+	s.observe(&scored{sizing: seed, cost: 1, err: context.Canceled})
+	s.observe(&scored{cost: 1})
 	if len(s.ys) != 0 {
 		t.Fatalf("filtered observations entered the history: %d", len(s.ys))
 	}
 	for i := 0; i < 3*surrogateWindow; i++ {
-		s.observe(scored{sizing: seed, cost: float64(i)})
+		s.observe(&scored{sizing: seed, cost: float64(i)})
 	}
 	if len(s.ys) != surrogateWindow {
 		t.Fatalf("history grew past the window: %d", len(s.ys))

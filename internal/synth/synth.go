@@ -298,7 +298,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	ev := newEvaluator(spec, proc, opts.Mode, opts.PenaltyW, opts.EvalHook, opts.Progress)
 	ev.se.NewtonReuse = opts.NewtonReuse
 	ev.batch = opts.BatchEval
-	best := ev.score(ctx, eqSeed)
+	best := *ev.score(ctx, eqSeed)
 	if opts.WarmStart != nil {
 		// Retargeting: start from the better of the two seeds. A warm
 		// start carried over from a *tighter* spec is over-designed for a
@@ -306,7 +306,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 		// the excess power; the equation seed covers that case.
 		warm := ev.score(ctx, opts.WarmStart)
 		if warm.err == nil && (best.err != nil || warm.cost < best.cost) {
-			best = warm
+			best = *warm
 		}
 	}
 	if best.err != nil {
@@ -321,17 +321,18 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	if best.feasible() {
 		firstFeasible = 0
 	}
+	vec := cur.sizing.AppendVector(nil) // perturbation scratch
 	var sur *surrogate
 	if opts.Surrogate {
-		sur = newSurrogate(len(eqSeed.Vector()))
-		sur.observe(best)
+		sur = newSurrogate(len(vec))
+		sur.observe(&best)
 	}
 
 	// Simulated annealing over log-space perturbations. The context is
 	// the abort signal: it is checked once per move, so a cancelled study
 	// stops after the batch in flight.
 	temp := opts.InitTemp
-	fold := func(sc scored) bool {
+	fold := func(sc *scored) bool {
 		accepted := false
 		if sc.err == nil {
 			if firstFeasible < 0 && sc.feasible() {
@@ -342,9 +343,9 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 				accepted = rng.Float64() < math.Exp((cur.cost-sc.cost)/math.Max(temp*math.Abs(cur.cost)+1e-12, 1e-12))
 			}
 			if accepted {
-				cur = sc
+				cur = *sc
 				if sc.cost < best.cost {
-					best = sc
+					best = *sc
 				}
 			}
 		}
@@ -380,11 +381,12 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 					continue
 				}
 			}
-			batch[j] = perturb(rng, cur.sizing, temp, proc)
+			batch[j] = perturb(rng, cur.sizing, vec, temp, proc)
 		}
-		for j, sc := range ev.scoreBatch(ctx, batch) {
-			sur.observe(sc)
-			if fold(sc) && j == surIdx {
+		out := ev.scoreBatch(ctx, batch)
+		for j := range out {
+			sur.observe(&out[j])
+			if fold(&out[j]) && j == surIdx {
 				sur.accepted++
 			}
 		}
@@ -403,7 +405,7 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	out := &Result{
 		Sizing:          best.sizing,
 		Metrics:         best.metrics,
-		Report:          best.report,
+		Report:          hybrid.Check(ev.specs, best.metrics),
 		Feasible:        best.feasible(),
 		Evals:           ev.evals,
 		Cost:            best.cost,
@@ -416,25 +418,27 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	return out, ev.evals, nil
 }
 
-// scored couples a sizing with its evaluation. ord is the 1-based
-// evaluator ordinal the candidate was scored at (the batch path scores
-// several candidates before any of them is folded, so the fold cannot
-// read the live counter).
+// scored couples a sizing with its evaluation. viol is the spec
+// violation sum (hybrid.Violations); the failure lines are formatted
+// once, for the returned Result. ord is the 1-based evaluator ordinal the
+// candidate was scored at (the batch path scores several candidates
+// before any of them is folded, so the fold cannot read the live
+// counter).
 type scored struct {
 	sizing  opamp.Amp
 	metrics hybrid.Metrics
-	report  hybrid.SpecReport
+	viol    float64
 	cost    float64
 	ord     int
 	err     error
 }
 
-func (s scored) feasible() bool { return s.err == nil && s.report.Violations == 0 }
+func (s *scored) feasible() bool { return s.err == nil && s.viol == 0 }
 
 type evaluator struct {
-	spec     stagespec.MDACSpec
 	proc     *pdk.Process
 	se       *hybrid.StageEvaluator
+	specs    hybrid.Specs // audit thresholds; they do not depend on the sizing
 	penaltyW float64
 	evals    int
 	batch    int // Options.BatchEval; >1 batches the pattern-search sweeps too
@@ -455,34 +459,34 @@ type evaluator struct {
 
 func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, penaltyW float64, hook func(context.Context, int) error, progress func(Progress)) *evaluator {
 	return &evaluator{
-		spec: spec, proc: proc, penaltyW: penaltyW,
+		proc: proc, penaltyW: penaltyW,
 		se:       hybrid.NewStageEvaluator(spec, proc, mode),
+		specs:    hybrid.SpecsFor(mdac.Stage{Spec: spec, Process: proc}),
 		hook:     hook,
 		progress: progress,
 	}
 }
 
-// score evaluates one candidate: a width-1 scoreBatch.
-func (ev *evaluator) score(ctx context.Context, s opamp.Amp) scored {
+// score evaluates one candidate: a width-1 scoreBatch. The result is
+// evaluator-owned and valid until the next call.
+func (ev *evaluator) score(ctx context.Context, s opamp.Amp) *scored {
 	ev.one[0] = s
-	return ev.scoreBatch(ctx, ev.one[:])[0]
+	return &ev.scoreBatch(ctx, ev.one[:])[0]
 }
 
-// finish folds an evaluation outcome into a scored candidate: constraint
-// audit plus the scalar cost (normalized power + weighted penalty).
-func (ev *evaluator) finish(s opamp.Amp, ord int, m hybrid.Metrics, err error) scored {
-	out := scored{sizing: s, ord: ord, metrics: m, err: err}
+// finish folds an evaluation outcome into out: constraint violation sum
+// plus the scalar cost (normalized power + weighted penalty).
+func (ev *evaluator) finish(out *scored, m *hybrid.Metrics, err error) {
+	out.metrics, out.err = *m, err
 	if err != nil {
 		out.cost = math.Inf(1)
-		return out
+		return
 	}
-	st := mdac.Stage{Spec: ev.spec, Sizing: s, Process: ev.proc}
-	out.report = hybrid.Check(hybrid.SpecsFor(st), m)
+	out.viol = hybrid.Violations(ev.specs, *m)
 	// Normalize power against a spec-scale reference so the penalty
 	// weight is meaningful across stages.
 	pRef := ev.proc.VDD * 1e-3 // 1 mA scale
-	out.cost = m.Power/pRef + ev.penaltyW*out.report.Violations
-	return out
+	out.cost = m.Power/pRef + ev.penaltyW*out.viol
 }
 
 // scoreBatch scores a slice of candidates through one warm simulation
@@ -527,7 +531,7 @@ func (ev *evaluator) scoreBatch(ctx context.Context, cands []opamp.Amp) []scored
 		}
 		ev.se.EvaluateBatch(ctx, sub, ev.metrics[:k], ev.errs[:k])
 		for j, i := range keep {
-			out[i] = ev.finish(cands[i], out[i].ord, ev.metrics[j], ev.errs[j])
+			ev.finish(&out[i], &ev.metrics[j], ev.errs[j])
 		}
 	}
 	if ev.progress != nil {
@@ -539,10 +543,11 @@ func (ev *evaluator) scoreBatch(ctx context.Context, cands []opamp.Amp) []scored
 	return out
 }
 
-// perturb moves a random subset of variables in log space, with step size
-// proportional to temperature.
-func perturb(rng *rand.Rand, s opamp.Amp, temp float64, proc *pdk.Process) opamp.Amp {
-	v := s.Vector()
+// perturb moves a random subset of s's variables in log space, with step
+// size proportional to temperature. buf is scratch space for the
+// variables.
+func perturb(rng *rand.Rand, s opamp.Amp, buf []float64, temp float64, proc *pdk.Process) opamp.Amp {
+	v := s.AppendVector(buf[:0])
 	scale := 0.05 + 0.4*math.Min(temp, 1)
 	n := 1 + rng.Intn(3)
 	for k := 0; k < n; k++ {
@@ -550,11 +555,11 @@ func perturb(rng *rand.Rand, s opamp.Amp, temp float64, proc *pdk.Process) opamp
 		factor := math.Exp(rng.NormFloat64() * scale)
 		v[i] *= factor
 	}
-	out, err := s.WithVector(v)
+	out, err := s.WithVector(v, proc)
 	if err != nil {
 		return s
 	}
-	return out.Bound(proc)
+	return out
 }
 
 // patternSearch polishes with coordinate moves of shrinking step. A
@@ -570,7 +575,8 @@ func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, 
 		return patternSearchBatch(ctx, ev, best, budget, proc, firstFeasible)
 	}
 	step := 0.25
-	dims := len(best.sizing.Vector())
+	v := best.sizing.AppendVector(nil) // scratch for the incumbent's variables
+	dims := len(v)
 	for spent := 0; spent < budget && step > 0.01; {
 		improved := false
 		for i := 0; i < dims && spent < budget; i++ {
@@ -578,20 +584,20 @@ func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, 
 				if ctx.Err() != nil {
 					return best
 				}
-				v := best.sizing.Vector()
+				v = best.sizing.AppendVector(v[:0])
 				v[i] *= dir
-				cand, err := best.sizing.WithVector(v)
+				cand, err := best.sizing.WithVector(v, proc)
 				if err != nil {
 					continue
 				}
-				sc := ev.score(ctx, cand.Bound(proc))
+				sc := ev.score(ctx, cand)
 				spent++
 				if sc.err == nil {
 					if *firstFeasible < 0 && sc.feasible() {
 						*firstFeasible = ev.evals
 					}
 					if sc.cost < best.cost {
-						best = sc
+						best = *sc
 						improved = true
 						break
 					}
@@ -616,20 +622,22 @@ func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, 
 // key.
 func patternSearchBatch(ctx context.Context, ev *evaluator, best scored, budget int, proc *pdk.Process, firstFeasible *int) scored {
 	step := 0.25
-	dims := len(best.sizing.Vector())
+	v := best.sizing.AppendVector(nil) // scratch for the incumbent's variables
+	dims := len(v)
+	moves := make([]opamp.Amp, 0, 2*dims)
 	spent := 0
 	for spent < budget && step > 0.01 {
 		improved := false
-		moves := make([]opamp.Amp, 0, 2*dims)
+		moves = moves[:0]
 		for i := 0; i < dims; i++ {
 			for _, dir := range []float64{1 + step, 1 / (1 + step)} {
-				v := best.sizing.Vector()
+				v = best.sizing.AppendVector(v[:0])
 				v[i] *= dir
-				cand, err := best.sizing.WithVector(v)
+				cand, err := best.sizing.WithVector(v, proc)
 				if err != nil {
 					continue
 				}
-				moves = append(moves, cand.Bound(proc))
+				moves = append(moves, cand)
 			}
 		}
 		for off := 0; off < len(moves) && spent < budget && !improved; off += ev.batch {
@@ -643,14 +651,16 @@ func patternSearchBatch(ctx context.Context, ev *evaluator, best scored, budget 
 			if rem := budget - spent; end-off > rem {
 				end = off + rem
 			}
-			for _, sc := range ev.scoreBatch(ctx, moves[off:end]) {
+			out := ev.scoreBatch(ctx, moves[off:end])
+			for k := range out {
+				sc := &out[k]
 				spent++
 				if sc.err == nil {
 					if *firstFeasible < 0 && sc.feasible() {
 						*firstFeasible = sc.ord
 					}
 					if !improved && sc.cost < best.cost {
-						best = sc
+						best = *sc
 						improved = true
 					}
 				}

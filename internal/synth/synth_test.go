@@ -52,7 +52,7 @@ func TestSynthesizeReducesPower(t *testing.T) {
 		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
 	})
 	ev := newEvaluator(spec, proc, hybrid.Hybrid, 10, nil, nil)
-	start := ev.score(context.Background(), s0)
+	start := *ev.score(context.Background(), s0)
 	res, err := Synthesize(context.Background(), spec, proc, Options{
 		Seed: 3, MaxEvals: 150, PatternIter: 80, Mode: hybrid.Hybrid,
 	})
@@ -205,7 +205,7 @@ func TestPerturbStaysInBounds(t *testing.T) {
 		KTail: 4, K2: 8, IRef: 20e-6, CC: 0.3e-12, RZ: 500,
 	}
 	for i := 0; i < 500; i++ {
-		s = perturb(rng, s, 1.0, proc)
+		s = perturb(rng, s, nil, 1.0, proc)
 		ms := s.(opamp.MillerSizing)
 		if ms.W1 < proc.WMin || ms.W1 > proc.WMax || ms.L1 < proc.LMin || ms.L1 > proc.LMax {
 			t.Fatalf("geometry escaped bounds: %+v", ms)
@@ -335,5 +335,35 @@ func TestSynthesizeBatchEvalDeterministic(t *testing.T) {
 	}
 	if first.Evals == 0 {
 		t.Fatal("no evaluations recorded")
+	}
+}
+
+// TestScoringAllocations guards the allocation-free scoring path: a warm
+// EquationOnly evaluator scores a candidate without allocating, and one
+// annealer move — perturb plus score — allocates at most the boxed
+// candidate sizing.
+func TestScoringAllocations(t *testing.T) {
+	spec, proc := lateStageSpec(t)
+	seed, err := opamp.Initial(opamp.Miller, proc, opamp.BlockSpec{
+		GBW: spec.GBWMin, SR: spec.SRMin, CLoad: spec.CLoad,
+		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, nil, nil)
+	if sc := ev.score(ctx, seed); sc.err != nil {
+		t.Fatal(sc.err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ev.score(ctx, seed) }); allocs != 0 {
+		t.Errorf("EquationOnly score allocates %v times per candidate", allocs)
+	}
+	rng := rand.New(rand.NewSource(1))
+	buf := seed.AppendVector(nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		ev.score(ctx, perturb(rng, seed, buf, 0.5, proc))
+	}); allocs > 1 {
+		t.Errorf("an annealer move allocates %v times, want at most 1", allocs)
 	}
 }

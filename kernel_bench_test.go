@@ -8,6 +8,7 @@ package pipesyn_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"pipesyn/internal/core"
@@ -119,6 +120,38 @@ func BenchmarkStudy13b(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSweepEquation is the search-layer number: a 10–13-bit
+// EquationOnly sweep (two restarts per synthesis, seed 1, one worker),
+// where each evaluation is a closed-form formula and the annealer,
+// pattern search, spec audit and study bookkeeping around it set the
+// cost. allocs/eval counts heap allocations per evaluator call across
+// the whole sweep; mW_best is the 13-bit winner's power, so a speed-up
+// that changed the answer shows.
+func BenchmarkSweepEquation(b *testing.B) {
+	opts := core.Options{Mode: hybrid.EquationOnly, Workers: 1,
+		Synth: synth.Options{Seed: 1, Restarts: 2}}
+	bits := []int{10, 11, 12, 13}
+	b.ReportAllocs()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	var studies []*core.Study
+	evals := 0
+	for i := 0; i < b.N; i++ {
+		var err error
+		if studies, err = core.Sweep(context.Background(), bits, opts); err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range studies {
+			evals += st.TotalEvals
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(evals), "allocs/eval")
+	b.ReportMetric(studies[len(studies)-1].Best.TotalPower*1e3, "mW_best")
 }
 
 // BenchmarkStudy13bRacing is BenchmarkStudy13b under the
