@@ -1,5 +1,5 @@
 # Build/test/verification lanes. `make ci` is the gate the parallel
-# scheduler must keep green: vet + full tests + the race-detector lane.
+# scheduler must keep green; it runs ci.sh, the one list of CI lanes.
 GO ?= go
 
 .PHONY: build test vet race bench benchdiff bench-figures serve-smoke recover-smoke yield-smoke cluster-smoke persist ci
@@ -13,17 +13,11 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# Race lane: short mode keeps the seconds-long hybrid studies out, while
-# the scheduler, cache, and parallel-study tests all still run under the
-# detector. The service package runs in full — its queue, single-flight,
-# and drain paths are the raciest code in the tree.
+# Race-detector lanes, listed once in ci.sh: the short-mode sweep plus
+# the robustness, service, yield, cluster, racing and sparse-solver
+# lanes.
 race:
-	$(GO) test -race -short ./...
-	$(GO) test -race -run 'Cancel|Fault|Leak' ./...
-	$(GO) test -race ./internal/service
-	$(GO) test -race ./internal/yield ./internal/adcsim ./internal/dsp
-	$(GO) test -race ./internal/race
-	$(GO) test -race -run 'Race|Surrogate' ./internal/synth ./internal/core ./internal/service
+	GO=$(GO) ./ci.sh race
 
 # Service integration smoke: boot adcsynd, run a study over HTTP with a
 # cached rerun and a /metrics scrape, SIGTERM, assert clean drain — then
@@ -49,9 +43,9 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # Persistence lane: journal replay, crash recovery, retention/leak, and
-# cache-durability tests under the race detector.
+# cache-durability tests under the race detector (listed in ci.sh).
 persist:
-	$(GO) test -race -run 'Recover|Retention|Retain|Journal|RetryAfter|Leak|CacheDisk' ./internal/service ./internal/synth
+	GO=$(GO) ./ci.sh persist
 
 # Kernel/evaluator benchmark lane: the benchmark set listed in
 # scripts/bench.sh, recorded as go-test JSON events in BENCH_kernels.json
@@ -74,4 +68,8 @@ benchdiff:
 bench-figures:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-ci: vet test race persist serve-smoke cluster-smoke
+# The whole gate: every lane ci.sh lists, in its order — static checks,
+# tests, race, persistence, the daemon and cluster smokes, and the
+# benchmark smoke with the advisory diff.
+ci:
+	GO=$(GO) ./ci.sh

@@ -1,64 +1,90 @@
 #!/bin/sh
-# CI gate, Makefile-free form: static checks, full tests, then the race
-# lane that continuously exercises the parallel synthesis scheduler.
+# CI gate: the one list of CI lanes. `./ci.sh` runs every lane in order;
+# `./ci.sh race persist` runs only the named lanes. The Makefile's `ci`,
+# `race` and `persist` targets call in here, so a lane added below is
+# picked up by every entry point. GO overrides the go binary.
 set -eux
+GO=${GO:-go}
 
-go vet ./...
-go build ./...
-go test ./...
-go test -race -short ./...
-# Robustness lane: the cancellation, fault-injection, and goroutine-leak
-# tests under the race detector (stalled evaluators, injected panics,
-# deadline teardowns across the scheduler/synthesis/core stack).
-go test -race -run 'Cancel|Fault|Leak' ./...
-# Service lane: the full adcsynd job-manager/HTTP suite under the race
-# detector (queue backpressure, single-flight dedup, NDJSON streaming,
-# drain).
-go test -race ./internal/service
-# Persistence lane: journal replay, crash recovery, the terminal-job
-# retention/leak regression (500-job soak), and the disk-cache
-# durability tests under the race detector.
-go test -race -run 'Recover|Retention|Retain|Journal|RetryAfter|Leak|CacheDisk' ./internal/service ./internal/synth
-# Yield lane: the Monte-Carlo draw pool, the behavioral simulator, and
-# the spectral metrics under the race detector — the determinism contract
-# (per-draw seeds, order-independent mismatch streams) is what the
-# concurrent draws lean on.
-go test -race ./internal/yield ./internal/adcsim ./internal/dsp
-# Cluster lane: the consistent-hash ring and the 3-node in-process
-# cluster tests (routing/dedupe, peer cache fill, lease takeover, hop
-# guard) under the race detector — the membership, replication, and
-# proxy paths are all concurrent by construction.
-go test -race ./internal/cluster
-# End-to-end daemon smoke, all legs: boot → study over HTTP → cached
-# rerun → /metrics → SIGTERM drain; the kill -9 crash-recovery leg (same
-# -state-dir restart must finish the interrupted study); and the yield
-# leg (200-draw mode:yield study bit-identical across daemons with
-# different -workers, yield counters on /metrics).
-./scripts/serve_smoke.sh
-# Sharded-cluster smoke: three loopback nodes — cluster-wide dedupe via
-# ring routing, a zero-evaluation peer-cache run on a cold node,
-# bit-identical results vs a single-node daemon, and a kill -9 lease
-# takeover completing the same job id on a survivor.
-./scripts/cluster_smoke.sh
-# Racing lane: the successive-halving scheduler (plan/promotion ranking),
-# the quadratic-surrogate proposal loop, and the worker-count
-# bit-identity tests at the synthesis, study, and service levels under
-# the race detector — rung promotion is a cross-worker reduction, so the
-# determinism contract and the data-race check are the same test.
-go test -race ./internal/race
-go test -race -run 'Race|Surrogate' ./internal/synth ./internal/core ./internal/service
-# Sparse-solver lane: the sparse/dense bit-exactness, symbolic-coverage,
-# modified-Newton determinism, ordered-pivot equivalence, and
-# batched-evaluation equivalence tests under the race detector — the
-# correctness contract of the fast path.
-go test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot' \
-    ./internal/la ./internal/sim ./internal/hybrid ./internal/synth
-# Benchmark smoke: one iteration of the kernel and end-to-end benchmarks
-# (including the batched-evaluator and full-study paths) so perf-path
-# regressions (panics, singular matrices) surface in CI without paying
-# for a full measurement run.
-./scripts/bench.sh -benchtime=1x
-# Advisory perf diff against the committed BENCH_kernels.json snapshot:
-# prints >10% ns/op regressions but never fails the gate (shared CI
-# boxes are noisy; BENCHDIFF_STRICT=1 makes it fatal locally).
-BENCHDIFF_BENCHTIME=1x ./scripts/benchdiff.sh || true
+# Static checks and the full test suite.
+static() {
+	"$GO" vet ./...
+	"$GO" build ./...
+}
+unit() {
+	"$GO" test ./...
+}
+
+# Race-detector lanes. Short mode keeps the seconds-long hybrid studies
+# out, while the scheduler, cache and parallel-study tests still run
+# under the detector; the packages below then run in full or by pattern.
+race() {
+	"$GO" test -race -short ./...
+	# Robustness: the cancellation, fault-injection and goroutine-leak
+	# tests (stalled evaluators, injected panics, deadline teardowns
+	# across the scheduler/synthesis/core stack).
+	"$GO" test -race -run 'Cancel|Fault|Leak' ./...
+	# Service: the full adcsynd job-manager/HTTP suite (queue
+	# backpressure, single-flight dedup, NDJSON streaming, drain).
+	"$GO" test -race ./internal/service
+	# Yield: the Monte-Carlo draw pool, the behavioral simulator and the
+	# spectral metrics — the determinism contract (per-draw seeds,
+	# order-independent mismatch streams) is what concurrent draws lean on.
+	"$GO" test -race ./internal/yield ./internal/adcsim ./internal/dsp
+	# Cluster: the consistent-hash ring and the 3-node in-process cluster
+	# tests (routing/dedupe, peer cache fill, lease takeover, hop guard) —
+	# membership, replication and proxy paths are concurrent by
+	# construction.
+	"$GO" test -race ./internal/cluster
+	# Racing: successive-halving plan/promotion ranking, the quadratic
+	# surrogate, and the worker-count bit-identity tests at the synthesis,
+	# study and service levels — rung promotion is a cross-worker
+	# reduction, so the determinism contract and the data-race check are
+	# the same test.
+	"$GO" test -race ./internal/race
+	"$GO" test -race -run 'Race|Surrogate' ./internal/synth ./internal/core ./internal/service
+	# Sparse solver: sparse/dense bit-exactness, symbolic coverage,
+	# modified-Newton determinism, ordered-pivot equivalence and batched
+	# evaluation equivalence — the correctness contract of the fast path.
+	"$GO" test -race -run 'MatchesDense|SymbolicCovers|NewtonReuse|BitIdentical|Batch|OrderedPivot' \
+		./internal/la ./internal/sim ./internal/hybrid ./internal/synth
+}
+
+# Persistence: journal replay, crash recovery, the terminal-job retention
+# and leak regression (500-job soak), and the disk-cache durability tests
+# under the race detector.
+persist() {
+	"$GO" test -race -run 'Recover|Retention|Retain|Journal|RetryAfter|Leak|CacheDisk' ./internal/service ./internal/synth
+}
+
+# End-to-end smokes. The daemon smoke runs all legs: boot → study over
+# HTTP → cached rerun → /metrics → SIGTERM drain; the kill -9
+# crash-recovery leg; and the yield leg (a 200-draw study bit-identical
+# across -workers). The cluster smoke boots three loopback nodes:
+# cluster-wide dedupe, a zero-evaluation peer-cache run, bit-identity
+# with a single node, and a kill -9 lease takeover.
+smoke() {
+	./scripts/serve_smoke.sh
+	./scripts/cluster_smoke.sh
+}
+
+# Benchmark smoke: one iteration of the kernel and end-to-end benchmarks,
+# so perf-path regressions (panics, singular matrices) surface without a
+# full measurement run; then the advisory diff against the committed
+# BENCH_kernels.json, which never fails the gate (shared CI boxes are
+# noisy; BENCHDIFF_STRICT=1 makes it fatal locally).
+bench() {
+	GO="$GO" ./scripts/bench.sh -benchtime=1x
+	GO="$GO" BENCHDIFF_BENCHTIME=1x ./scripts/benchdiff.sh || true
+}
+
+[ $# -gt 0 ] || set -- static unit race persist smoke bench
+for lane in "$@"; do
+	case $lane in
+	static | unit | race | persist | smoke | bench) "$lane" ;;
+	*)
+		echo "ci.sh: unknown lane $lane (want static, unit, race, persist, smoke or bench)" >&2
+		exit 2
+		;;
+	esac
+done

@@ -8,9 +8,13 @@
 //	adcsyn -bits 13 -fs 40e6 [-mode hybrid|equation|simulation|yield]
 //	       [-evals 180] [-restarts 1] [-retarget] [-seed 7] [-verify]
 //	       [-race] [-race-rungs 2] [-race-eta 3] [-surrogate]
-//	       [-draws 1000] [-min-enob 0]
+//	       [-draws 0] [-min-enob 0]
 //	       [-workers 0] [-cache-dir DIR] [-timeout DURATION] [-json]
 //	       [-cpuprofile FILE] [-memprofile FILE]
+//
+// The study flags are the adcsynd request fields and pass the same
+// validation (service.StudyRequest.Options): negative budgets, racing
+// shape without -race, and out-of-range values exit non-zero.
 //
 // -race turns on the successive-halving racing scheduler: every
 // enumerated candidate is synthesized at a cheap low-fidelity rung, the
@@ -59,7 +63,6 @@ import (
 	"time"
 
 	"pipesyn/internal/core"
-	"pipesyn/internal/hybrid"
 	"pipesyn/internal/report"
 	"pipesyn/internal/sched"
 	"pipesyn/internal/service"
@@ -67,25 +70,34 @@ import (
 	"pipesyn/internal/yield"
 )
 
+// studyFlags binds the study-shaping flags onto the adcsynd request
+// type, so the CLI validates and translates them through
+// service.StudyRequest.Options exactly as the daemon does.
+func studyFlags(fs *flag.FlagSet) *service.StudyRequest {
+	r := &service.StudyRequest{}
+	fs.IntVar(&r.Bits, "bits", 13, "target resolution, bits")
+	fs.Float64Var(&r.SampleRate, "fs", 40e6, "sample rate, Hz")
+	fs.Float64Var(&r.VRef, "vref", 1.0, "reference (full scale ±VRef), V")
+	fs.StringVar(&r.Mode, "mode", "hybrid", "evaluation mode: hybrid, equation, simulation, or yield (Monte-Carlo sign-off)")
+	fs.IntVar(&r.Draws, "draws", 0, "mode yield: Monte-Carlo process draws (0 = 1000)")
+	fs.Float64Var(&r.MinENOB, "min-enob", 0, "mode yield: pass/fail ENOB spec (0 = bits-1)")
+	fs.IntVar(&r.Evals, "evals", 180, "annealing evaluations per MDAC")
+	fs.IntVar(&r.Pattern, "pattern", 90, "pattern-search evaluations per MDAC")
+	fs.IntVar(&r.Restarts, "restarts", 1, "synthesis restarts per MDAC")
+	fs.BoolVar(&r.Retarget, "retarget", false, "chain warm starts across MDACs (faster, slightly suboptimal)")
+	fs.BoolVar(&r.Race, "race", false, "successive-halving racing over the candidate portfolio")
+	fs.IntVar(&r.RaceRungs, "race-rungs", 0, "racing rungs (0 = default 2; requires -race)")
+	fs.IntVar(&r.RaceEta, "race-eta", 0, "racing budget-reduction factor between rungs (0 = default 3; requires -race)")
+	fs.BoolVar(&r.Surrogate, "surrogate", false, "interleave quadratic-surrogate sizing proposals with annealer moves")
+	fs.Int64Var(&r.Seed, "seed", 7, "random seed")
+	fs.BoolVar(&r.SHA, "sha", false, "also synthesize the front-end sample-and-hold")
+	return r
+}
+
 func main() {
-	bits := flag.Int("bits", 13, "target resolution, bits")
-	fs := flag.Float64("fs", 40e6, "sample rate, Hz")
-	vref := flag.Float64("vref", 1.0, "reference (full scale ±VRef), V")
-	modeStr := flag.String("mode", "hybrid", "evaluation mode: hybrid, equation, simulation, or yield (Monte-Carlo sign-off)")
-	draws := flag.Int("draws", 1000, "mode yield: Monte-Carlo process draws")
-	minENOB := flag.Float64("min-enob", 0, "mode yield: pass/fail ENOB spec (0 = bits-1)")
-	evals := flag.Int("evals", 180, "annealing evaluations per MDAC")
-	pattern := flag.Int("pattern", 90, "pattern-search evaluations per MDAC")
-	restarts := flag.Int("restarts", 1, "synthesis restarts per MDAC")
-	retarget := flag.Bool("retarget", false, "chain warm starts across MDACs (faster, slightly suboptimal)")
-	raceOn := flag.Bool("race", false, "successive-halving racing over the candidate portfolio")
-	raceRungs := flag.Int("race-rungs", 0, "racing rungs (0 = default 2)")
-	raceEta := flag.Int("race-eta", 0, "racing budget-reduction factor between rungs (0 = default 3)")
-	surrogate := flag.Bool("surrogate", false, "interleave quadratic-surrogate sizing proposals with annealer moves")
-	seed := flag.Int64("seed", 7, "random seed")
+	req := studyFlags(flag.CommandLine)
 	verify := flag.Bool("verify", false, "run a behavioral sine test on the best configuration")
 	jsonOut := flag.Bool("json", false, "emit the study result as JSON on stdout (same shape as the adcsynd service)")
-	withSHA := flag.Bool("sha", false, "also synthesize the front-end sample-and-hold")
 	workers := flag.Int("workers", 0, "parallel synthesis workers (0 = all cores, 1 = serial)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed synthesis cache directory (empty = no cache)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole study (0 = unlimited)")
@@ -93,17 +105,14 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
 	flag.Parse()
 
-	// Shared with the adcsynd API so CLI and service accept the same
-	// mode vocabulary. Yield is not an evaluator mode: it synthesizes
-	// with the full hybrid evaluator, then runs the Monte-Carlo lane.
-	isYield := *modeStr == "yield"
-	mode := hybrid.Hybrid
-	var err error
-	if !isYield {
-		if mode, err = service.ParseMode(*modeStr); err != nil {
-			fatal(err)
-		}
+	// Yield is not an evaluator mode: the request synthesizes with the
+	// full hybrid evaluator, then the Monte-Carlo lane runs.
+	opts, err := req.Options()
+	if err != nil {
+		fatal(err)
 	}
+	isYield := req.Yield()
+	mode := opts.Mode
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -130,15 +139,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	opts := core.Options{
-		Bits: *bits, SampleRate: *fs, VRef: *vref, Mode: mode, Retarget: *retarget,
-		Race: *raceOn, RaceRungs: *raceRungs, RaceEta: *raceEta,
-		IncludeSHA: *withSHA, Workers: *workers,
-		Synth: synth.Options{
-			Seed: *seed, MaxEvals: *evals, PatternIter: *pattern,
-			Restarts: *restarts, Cache: cache, Surrogate: *surrogate,
-		},
-	}
+	opts.Workers = *workers
+	opts.Synth.Cache = cache
 	var pool *sched.Pool
 	if isYield {
 		// One explicit pool serves both the synthesis fan-out and the
@@ -170,7 +172,7 @@ func main() {
 	}
 	var yres *yield.Result
 	if isYield {
-		spec := yield.Spec{Draws: *draws, MinENOB: *minENOB}
+		spec := req.YieldSpec()
 		model, err := yield.FromStudy(st, opts, spec)
 		if err != nil {
 			fatal(err)
@@ -206,7 +208,7 @@ func main() {
 		return
 	}
 	fmt.Printf("pipesyn topology optimization — %d-bit %.0f MSPS (%s mode)\n",
-		*bits, *fs/1e6, mode)
+		req.Bits, req.SampleRate/1e6, mode)
 	fmt.Printf("elapsed %s, %d evaluator calls, %d MDAC design points (%d paper classes)\n",
 		time.Since(t0).Round(time.Millisecond), st.TotalEvals, len(st.MDACs), st.PaperMDACClasses)
 	if st.Race != nil {

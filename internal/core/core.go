@@ -282,16 +282,10 @@ func StudyKey(opts Options) string {
 		Restarts                     int
 		InitTemp, CoolRate, PenaltyW float64
 		Topology                     int
-		// BatchEval alters the annealing trajectory only when >1; keys
-		// minted before the knob existed must stay valid, so it is
-		// omitted at its default (mirrors synth.CacheKey). NewtonReuse
-		// keys the same way: omitted unless the reuse path is on.
-		BatchEval   int  `json:",omitempty"`
-		NewtonReuse bool `json:",omitempty"`
-		// The surrogate and racing knobs change the search trajectory
-		// only when on, so they key the same way: omitted at their
-		// defaults, with the racing shape keyed only under Race.
-		Surrogate bool `json:",omitempty"`
+		synth.KnobKey
+		// The racing knobs change the search trajectory only when on,
+		// so they key the same way: omitted at their defaults, with the
+		// racing shape keyed only under Race.
 		Race      bool `json:",omitempty"`
 		RaceRungs int  `json:",omitempty"`
 		RaceEta   int  `json:",omitempty"`
@@ -299,11 +293,8 @@ func StudyKey(opts Options) string {
 	kf := keyFields{opts.Bits, opts.SampleRate, opts.VRef, opts.Process.Name, int(opts.Mode),
 		opts.Constraints, opts.Retarget, opts.IncludeSHA,
 		s.Seed, s.MaxEvals, s.PatternIter, s.Restarts,
-		s.InitTemp, s.CoolRate, s.PenaltyW, int(s.Topology), 0, s.NewtonReuse,
-		s.Surrogate, false, 0, 0}
-	if s.BatchEval > 1 {
-		kf.BatchEval = s.BatchEval
-	}
+		s.InitTemp, s.CoolRate, s.PenaltyW, int(s.Topology), s.KnobKey(),
+		false, 0, 0}
 	if opts.Race {
 		kf.Race = true
 		kf.RaceRungs = opts.RaceRungs

@@ -209,20 +209,17 @@ func newtonLoop(cc *compiled, ws *dcWorkspace, x0 []float64, opts DCOpts, reuse 
 	lastStep, prevStep := math.Inf(1), math.Inf(1)
 	reuseCount := 0
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var err error
-		if !reuse {
-			err = ws.iterate(cc)
-		} else {
-			refactor := iter == 1 || reuseCount >= 6 || lastStep > 0.5*prevStep
-			if refactor {
-				reuseCount = 0
-			} else {
-				reuseCount++
+		// Full Newton is the policy that refreshes every iteration; with
+		// reuse the factor is refreshed on the first iteration, after six
+		// stale solves, or when the step norm stops contracting.
+		if !reuse || iter == 1 || reuseCount >= 6 || lastStep > 0.5*prevStep {
+			reuseCount = 0
+			if err := ws.iterate(cc); err != nil {
+				return nil, iter, fmt.Errorf("sim: singular MNA matrix: %w", err)
 			}
-			err = ws.iterateReuse(cc, refactor)
-		}
-		if err != nil {
-			return nil, iter, fmt.Errorf("sim: singular MNA matrix: %w", err)
+		} else {
+			reuseCount++
+			ws.iterateStale(cc)
 		}
 		xNew := ws.xNew
 		// Damped update: limit the largest node-voltage change.

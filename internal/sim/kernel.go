@@ -353,31 +353,18 @@ func (ws *dcWorkspace) iterate(cc *compiled) error {
 	return nil
 }
 
-// iterateReuse is the modified-Newton (Shamanskii) variant. With
-// refactor true the system is stamped fresh, factored, and solved
-// directly. With refactor false the previous factorization is reused
-// for a delta solve — xNew = x − M⁻¹·f(x) with M the stale factor — and
-// the residual f(x) is evaluated directly (residualDC), skipping the
-// matrix assembly entirely: a stale-factor iteration never reads the
-// Jacobian, only the residual.
-func (ws *dcWorkspace) iterateReuse(cc *compiled, refactor bool) error {
-	if refactor {
-		copy(ws.a.Data, ws.base.Data)
-		copy(ws.b, ws.baseB)
-		stampMOS(cc, ws.a, ws.b, ws.x)
-		if err := ws.lu.factor(ws.a); err != nil {
-			return err
-		}
-		ws.lu.solveInto(ws.xNew, ws.b)
-		return nil
-	}
+// iterateStale is the modified-Newton (Shamanskii) step: the previous
+// factorization is reused for a delta solve — xNew = x − M⁻¹·f(x) with M
+// the stale factor — and the residual f(x) is evaluated directly
+// (residualDC), skipping the matrix assembly entirely: a stale-factor
+// iteration never reads the Jacobian, only the residual.
+func (ws *dcWorkspace) iterateStale(cc *compiled) {
 	ws.lu.reused++
 	ws.residualDC(cc)
 	ws.lu.solveInto(ws.d, ws.r)
 	for i := range ws.xNew {
 		ws.xNew[i] = ws.x[i] - ws.d[i]
 	}
-	return nil
 }
 
 // residualDC evaluates the nonlinear DC residual f(x) at ws.x into ws.r

@@ -228,7 +228,11 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 	worstIdx, worstDelta := -1, 0.0
 	lastStep, prevStep := math.Inf(1), math.Inf(1)
 	for it := 0; it < tr.opts.MaxNewton; it++ {
-		if !reuse {
+		// Full Newton is the policy that refreshes every iteration; with
+		// reuse the factor is refreshed when none is carried, after a
+		// bounded number of stale solves, or when the iteration stops
+		// contracting (the stale factor has drifted too far).
+		if !reuse || !tr.haveFactor || tr.reuseCount >= 50 || lastStep > 0.5*prevStep {
 			copy(tr.a.Data, tr.stepA.Data)
 			copy(tr.b, tr.stepB)
 			stampMOSTran(cc, tr.a, tr.b, dst, xFrom, h)
@@ -237,34 +241,18 @@ func (tr *tranRun) newtonLoop(dst, xFrom []float64, t, h float64, reuse bool) er
 			}
 			tr.haveFactor = true
 			tr.reuseCount = 0
+			// Fresh factor: the direct solve equals the delta solve and
+			// skips the residual mat-vec.
 			tr.lu.solveInto(tr.xNew, tr.b)
 		} else {
-			// Refresh when no factorization is carried, after a bounded
-			// number of stale solves, or when the iteration stops
-			// contracting (the stale factor has drifted too far).
-			refactor := !tr.haveFactor || tr.reuseCount >= 50 || lastStep > 0.5*prevStep
-			if refactor {
-				copy(tr.a.Data, tr.stepA.Data)
-				copy(tr.b, tr.stepB)
-				stampMOSTran(cc, tr.a, tr.b, dst, xFrom, h)
-				if err := tr.lu.factor(tr.a); err != nil {
-					return fmt.Errorf("sim: singular matrix at t=%g: %w", t, err)
-				}
-				tr.haveFactor = true
-				tr.reuseCount = 0
-				// Fresh factor: the direct solve equals the delta solve
-				// and skips the residual mat-vec.
-				tr.lu.solveInto(tr.xNew, tr.b)
-			} else {
-				// Stale factor: only the residual is needed, and it is
-				// evaluated directly (residualTran) — no matrix assembly.
-				tr.reuseCount++
-				tr.lu.reused++
-				tr.residualTran(tr.r, dst, xFrom, h)
-				tr.lu.solveInto(tr.d, tr.r)
-				for i := range tr.xNew {
-					tr.xNew[i] = dst[i] - tr.d[i]
-				}
+			// Stale factor: only the residual is needed, and it is
+			// evaluated directly (residualTran) — no matrix assembly.
+			tr.reuseCount++
+			tr.lu.reused++
+			tr.residualTran(tr.r, dst, xFrom, h)
+			tr.lu.solveInto(tr.d, tr.r)
+			for i := range tr.xNew {
+				tr.xNew[i] = dst[i] - tr.d[i]
 			}
 		}
 		sol := tr.xNew

@@ -50,6 +50,43 @@ func (o Options) Canonical() Options {
 	return o
 }
 
+// KnobKey is the keyed form of the search knobs that change a synthesis
+// trajectory only when on. Keys minted before a knob existed must stay
+// valid, so every field is omitted from the serialized form at its
+// default. CacheKey and core.StudyKey both embed it; encoding/json
+// promotes the fields at the embedding position, so the serialized bytes
+// are those of the fields written out in place.
+type KnobKey struct {
+	// BatchEval keys only when >1: 0 and 1 both mean one candidate per
+	// annealer move and one per polish chunk.
+	BatchEval int `json:",omitempty"`
+	// NewtonReuse keys only when on: the tolerance-contracted reuse path
+	// can shift the trajectory.
+	NewtonReuse bool `json:",omitempty"`
+	// Surrogate redirects every few annealer moves to the quadratic
+	// model's proposal, changing the trajectory; keys only when on.
+	Surrogate bool `json:",omitempty"`
+	// Polish versions the batched pattern search, set only when
+	// BatchEval > 1: version 2 scores chunks of the serial sweep, where
+	// version 1 (unversioned keys) restarted the sweep after every
+	// improvement. A disk cache written by an earlier build must not
+	// replay the old trajectory's answer.
+	Polish int `json:",omitempty"`
+}
+
+// polishVersion is KnobKey.Polish for batched runs.
+const polishVersion = 2
+
+// KnobKey returns the keyed form of o's trajectory knobs.
+func (o Options) KnobKey() KnobKey {
+	k := KnobKey{NewtonReuse: o.NewtonReuse, Surrogate: o.Surrogate}
+	if o.BatchEval > 1 {
+		k.BatchEval = o.BatchEval
+		k.Polish = polishVersion
+	}
+	return k
+}
+
 // CacheKey computes the content address of a synthesis request: a
 // SHA-256 over the block spec, the process name, and the canonicalized
 // optimizer options (see Canonical). Keys are stable across processes,
@@ -76,26 +113,14 @@ func CacheKey(spec stagespec.MDACSpec, proc *pdk.Process, opts Options) string {
 		Restarts                     int
 		InitTemp, CoolRate, PenaltyW float64
 		Mode, Topology               int
-		// BatchEval changes the annealing trajectory only when >1, and
-		// keys minted before the knob existed must stay valid, so the
-		// field is omitted from the serialized form at its default.
-		// NewtonReuse follows the same pattern: the tolerance-contracted
-		// reuse path can shift the trajectory, so it keys only when on.
-		BatchEval   int  `json:",omitempty"`
-		NewtonReuse bool `json:",omitempty"`
-		// Surrogate redirects every few annealer moves to the quadratic
-		// model's proposal, changing the trajectory; keys only when on.
-		Surrogate bool `json:",omitempty"`
+		KnobKey
 		// WarmStart is the seed sizing's exact bit pattern; omitted for
 		// cold runs, so their keys are unchanged.
 		WarmStart []uint64 `json:",omitempty"`
 	}
 	kf := keyFields{spec, procName, opts.Seed, opts.MaxEvals, opts.PatternIter,
 		opts.Restarts, opts.InitTemp, opts.CoolRate, opts.PenaltyW,
-		int(opts.Mode), int(opts.Topology), 0, opts.NewtonReuse, opts.Surrogate, warm}
-	if opts.BatchEval > 1 {
-		kf.BatchEval = opts.BatchEval
-	}
+		int(opts.Mode), int(opts.Topology), opts.KnobKey(), warm}
 	blob, err := json.Marshal(kf)
 	if err != nil {
 		// Only value fields above; Marshal cannot fail. Keep the

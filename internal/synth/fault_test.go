@@ -19,7 +19,9 @@ import (
 // telescopic incumbent's 9-entry vector was rejected on every move, so
 // the polish silently did nothing for that topology. Rebuilding through
 // the incumbent's own WithVector must both keep the cell class and
-// actually improve the seed.
+// actually improve the seed — at the serial width and a batched one —
+// and the polish may overrun its budget by at most the down step of the
+// coordinate it started last.
 func TestPatternSearchPreservesTelescopic(t *testing.T) {
 	spec, proc := lateStageSpec(t)
 	seed, err := opamp.Initial(opamp.Telescopic, proc, opamp.BlockSpec{
@@ -29,19 +31,27 @@ func TestPatternSearchPreservesTelescopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, nil, nil)
-	start := *ev.score(context.Background(), seed)
-	if start.err != nil {
-		t.Fatalf("telescopic seed failed to evaluate: %v", start.err)
-	}
-	ff := -1
-	got := patternSearch(context.Background(), ev, start, 120, proc, &ff)
-	if got.sizing.Topology() != opamp.Telescopic {
-		t.Fatalf("polish changed topology to %v", got.sizing.Topology())
-	}
-	if !(got.cost < start.cost) {
-		t.Fatalf("polish left a telescopic seed untouched: cost %g → %g (coordinate moves were all rejected)",
-			start.cost, got.cost)
+	for _, width := range []int{1, 4} {
+		for _, budget := range []int{1, 2, 3, 5, 120} {
+			ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, width, nil, nil)
+			start := *ev.score(context.Background(), seed)
+			if start.err != nil {
+				t.Fatalf("telescopic seed failed to evaluate: %v", start.err)
+			}
+			ff := -1
+			before := ev.evals
+			got := patternSearch(context.Background(), ev, start, budget, proc, &ff)
+			if spent := ev.evals - before; spent > budget+1 {
+				t.Errorf("width %d budget %d: polish spent %d evaluations, want ≤ %d", width, budget, spent, budget+1)
+			}
+			if got.sizing.Topology() != opamp.Telescopic {
+				t.Fatalf("width %d budget %d: polish changed topology to %v", width, budget, got.sizing.Topology())
+			}
+			if budget == 120 && !(got.cost < start.cost) {
+				t.Fatalf("width %d: polish left a telescopic seed untouched: cost %g → %g (coordinate moves were all rejected)",
+					width, start.cost, got.cost)
+			}
+		}
 	}
 }
 

@@ -38,14 +38,16 @@ type Options struct {
 	Topology    opamp.Topology // amplifier cell class (default Miller)
 	WarmStart   opamp.Amp      // retargeting seed; nil = equation start
 	PatternIter int            // pattern-search polish evaluations (default 120)
-	// BatchEval sets the annealer's evaluation batch width: each move
-	// draws BatchEval perturbations of the incumbent with sequential RNG
-	// draws, scores them through one warm simulation kernel
+	// BatchEval sets the search's evaluation batch width. Each annealer
+	// move draws BatchEval perturbations of the incumbent with sequential
+	// RNG draws, scores them through one warm simulation kernel
 	// (hybrid.EvaluateBatch), and folds the acceptance decisions in index
-	// order. 0 and 1 both mean one candidate per move; widths >1 trade
-	// per-move locality for kernel amortization and follow a different
-	// (still deterministic) trajectory, so the value is part of the
-	// cache key only when >1.
+	// order; the pattern search scores its serial coordinate sweep in
+	// chunks of BatchEval candidates drawn from the incumbent (see
+	// patternSearch). 0 and 1 both mean one candidate at a time; widths
+	// >1 trade per-move locality for kernel amortization and follow a
+	// different (still deterministic) trajectory, so the value is part of
+	// the cache key only when >1 (see KnobKey).
 	BatchEval int
 	// NewtonReuse turns on the simulator's factorization-reuse Newton
 	// variant for every evaluation in the search (DESIGN.md §5.5). The
@@ -295,9 +297,8 @@ func synthesizeOnce(ctx context.Context, spec stagespec.MDACSpec, proc *pdk.Proc
 	if err != nil {
 		return nil, 0, err
 	}
-	ev := newEvaluator(spec, proc, opts.Mode, opts.PenaltyW, opts.EvalHook, opts.Progress)
+	ev := newEvaluator(spec, proc, opts.Mode, opts.PenaltyW, opts.BatchEval, opts.EvalHook, opts.Progress)
 	ev.se.NewtonReuse = opts.NewtonReuse
-	ev.batch = opts.BatchEval
 	best := *ev.score(ctx, eqSeed)
 	if opts.WarmStart != nil {
 		// Retargeting: start from the better of the two seeds. A warm
@@ -441,7 +442,7 @@ type evaluator struct {
 	specs    hybrid.Specs // audit thresholds; they do not depend on the sizing
 	penaltyW float64
 	evals    int
-	batch    int // Options.BatchEval; >1 batches the pattern-search sweeps too
+	batch    int // Options.BatchEval (≥ 1): the pattern-search chunk width
 	hook     func(ctx context.Context, eval int) error
 	progress func(p Progress)
 
@@ -457,9 +458,10 @@ type evaluator struct {
 	one     [1]opamp.Amp
 }
 
-func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, penaltyW float64, hook func(context.Context, int) error, progress func(Progress)) *evaluator {
+func newEvaluator(spec stagespec.MDACSpec, proc *pdk.Process, mode hybrid.Mode, penaltyW float64, batch int, hook func(context.Context, int) error, progress func(Progress)) *evaluator {
 	return &evaluator{
 		proc: proc, penaltyW: penaltyW,
+		batch:    max(batch, 1),
 		se:       hybrid.NewStageEvaluator(spec, proc, mode),
 		specs:    hybrid.SpecsFor(mdac.Stage{Spec: spec, Process: proc}),
 		hook:     hook,
@@ -563,108 +565,74 @@ func perturb(rng *rand.Rand, s opamp.Amp, buf []float64, temp float64, proc *pdk
 }
 
 // patternSearch polishes with coordinate moves of shrinking step. A
-// cancelled context stops the polish; the caller re-checks ctx and
-// discards the partial result.
+// sweep tries coordinate i a step up and then a step down; the first
+// improvement is taken and the sweep moves on to coordinate i+1, and a
+// sweep with no improvement halves the step. A coordinate starts only
+// while spent < budget, so the down step of the last coordinate can
+// overrun the budget by one evaluation.
+//
+// The sweep is scored in chunks of up to ev.batch candidates, all drawn
+// from the current incumbent in sweep order and folded in index order:
+// the first improvement wins, the rest of the chunk still counts as
+// spent, and the sweep resumes after the improving coordinate. At width 1
+// a chunk is one candidate, the classic serial polish.
 //
 // Candidates are rebuilt with WithVector on the incumbent sizing (like
 // perturb) so the polish preserves the amplifier's cell class: the old
 // opamp.FromVector path always produced a MillerSizing and silently
-// swapped a Telescopic amplifier's topology mid-search.
+// swapped a Telescopic amplifier's topology mid-search. A cancelled
+// context stops the polish; the caller re-checks ctx and discards the
+// partial result.
 func patternSearch(ctx context.Context, ev *evaluator, best scored, budget int, proc *pdk.Process, firstFeasible *int) scored {
-	if ev.batch > 1 {
-		return patternSearchBatch(ctx, ev, best, budget, proc, firstFeasible)
-	}
 	step := 0.25
 	v := best.sizing.AppendVector(nil) // scratch for the incumbent's variables
 	dims := len(v)
+	chunk := make([]opamp.Amp, 0, ev.batch)
+	coord := make([]int, 0, ev.batch) // chunk[k] moves coordinate coord[k]
 	for spent := 0; spent < budget && step > 0.01; {
 		improved := false
-		for i := 0; i < dims && spent < budget; i++ {
-			for _, dir := range []float64{1 + step, 1 / (1 + step)} {
-				if ctx.Err() != nil {
-					return best
+		dirs := [2]float64{1 + step, 1 / (1 + step)}
+		// Sweep position next is coordinate next/2, direction next%2.
+		for next := 0; next < 2*dims; {
+			chunk, coord = chunk[:0], coord[:0]
+			for ; next < 2*dims && len(chunk) < ev.batch; next++ {
+				if next%2 == 0 && spent+len(chunk) >= budget {
+					break
 				}
+				i := next / 2
 				v = best.sizing.AppendVector(v[:0])
-				v[i] *= dir
+				v[i] *= dirs[next%2]
 				cand, err := best.sizing.WithVector(v, proc)
 				if err != nil {
 					continue
 				}
-				sc := ev.score(ctx, cand)
-				spent++
-				if sc.err == nil {
-					if *firstFeasible < 0 && sc.feasible() {
-						*firstFeasible = ev.evals
-					}
-					if sc.cost < best.cost {
-						best = *sc
-						improved = true
-						break
-					}
-				}
+				chunk = append(chunk, cand)
+				coord = append(coord, i)
 			}
-		}
-		if !improved {
-			step /= 2
-		}
-	}
-	return best
-}
-
-// patternSearchBatch is the BatchEval>1 variant of the polish: each sweep
-// around the incumbent is generated up front in the serial path's
-// coordinate/direction order, scored through the warm batch kernel in
-// chunks of ev.batch, and folded in index order. An improvement ends the
-// sweep (the rest of the in-flight chunk still counts as spent budget,
-// exactly like candidates the serial loop scored before breaking), so the
-// trajectory is deterministic for a fixed width — but a different one
-// than the serial loop's, which is why BatchEval is part of the cache
-// key.
-func patternSearchBatch(ctx context.Context, ev *evaluator, best scored, budget int, proc *pdk.Process, firstFeasible *int) scored {
-	step := 0.25
-	v := best.sizing.AppendVector(nil) // scratch for the incumbent's variables
-	dims := len(v)
-	moves := make([]opamp.Amp, 0, 2*dims)
-	spent := 0
-	for spent < budget && step > 0.01 {
-		improved := false
-		moves = moves[:0]
-		for i := 0; i < dims; i++ {
-			for _, dir := range []float64{1 + step, 1 / (1 + step)} {
-				v = best.sizing.AppendVector(v[:0])
-				v[i] *= dir
-				cand, err := best.sizing.WithVector(v, proc)
-				if err != nil {
-					continue
-				}
-				moves = append(moves, cand)
+			if len(chunk) == 0 {
+				break // budget spent, or no buildable move left
 			}
-		}
-		for off := 0; off < len(moves) && spent < budget && !improved; off += ev.batch {
 			if ctx.Err() != nil {
 				return best
 			}
-			end := off + ev.batch
-			if end > len(moves) {
-				end = len(moves)
-			}
-			if rem := budget - spent; end-off > rem {
-				end = off + rem
-			}
-			out := ev.scoreBatch(ctx, moves[off:end])
+			out := ev.scoreBatch(ctx, chunk)
+			spent += len(out)
+			moved := false
 			for k := range out {
 				sc := &out[k]
-				spent++
-				if sc.err == nil {
-					if *firstFeasible < 0 && sc.feasible() {
-						*firstFeasible = sc.ord
-					}
-					if !improved && sc.cost < best.cost {
-						best = *sc
-						improved = true
-					}
+				if sc.err != nil {
+					continue
+				}
+				if *firstFeasible < 0 && sc.feasible() {
+					*firstFeasible = sc.ord
+				}
+				if !moved && sc.cost < best.cost {
+					best = *sc
+					moved = true
+					next = 2 * (coord[k] + 1)
 				}
 			}
+			improved = improved || moved
 		}
 		if !improved {
 			step /= 2

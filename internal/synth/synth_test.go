@@ -51,7 +51,7 @@ func TestSynthesizeReducesPower(t *testing.T) {
 		GBW: spec.GBWMin, SR: spec.SRMin, CLoad: spec.CLoad,
 		CFeed: spec.CFeed, Gain: spec.GainMin, Swing: spec.SwingMin,
 	})
-	ev := newEvaluator(spec, proc, hybrid.Hybrid, 10, nil, nil)
+	ev := newEvaluator(spec, proc, hybrid.Hybrid, 10, 1, nil, nil)
 	start := *ev.score(context.Background(), s0)
 	res, err := Synthesize(context.Background(), spec, proc, Options{
 		Seed: 3, MaxEvals: 150, PatternIter: 80, Mode: hybrid.Hybrid,
@@ -352,7 +352,7 @@ func TestScoringAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, nil, nil)
+	ev := newEvaluator(spec, proc, hybrid.EquationOnly, 10, 1, nil, nil)
 	if sc := ev.score(ctx, seed); sc.err != nil {
 		t.Fatal(sc.err)
 	}
